@@ -11,7 +11,7 @@ from .errors import (AcousticDomainError, EchobakeError, InputError,
                      InsufficientDecayError, MaterialError, MeshParseError,
                      NoCollisionsError, ValidationFailure, WatertightError)
 from .scene import (DEFAULT_BAND_EDGES, BandLayout, Hit, Material, Scene,
-                    Triangle, analytic_volume_and_area, load_scene)
+                    analytic_volume_and_area, load_scene)
 from .tracer import (EnergyDecayCurve, PathTraceResult, TraceConfig,
                      trace_energy_decay, trace_segments)
 from .acoustics import (MFP_RT60_COEFF, SABINE_COEFF, MfpEstimate,
@@ -34,7 +34,7 @@ __all__ = [
     "InsufficientDecayError", "MaterialError", "MeshParseError",
     "NoCollisionsError", "ValidationFailure", "WatertightError",
     "DEFAULT_BAND_EDGES", "BandLayout", "Hit", "Material", "Scene",
-    "Triangle", "analytic_volume_and_area", "load_scene",
+    "analytic_volume_and_area", "load_scene",
     "EnergyDecayCurve", "PathTraceResult", "TraceConfig",
     "trace_energy_decay", "trace_segments",
     "MFP_RT60_COEFF", "SABINE_COEFF", "MfpEstimate", "Rt60Estimate",

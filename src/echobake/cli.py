@@ -13,15 +13,13 @@ import argparse
 import pathlib
 import sys
 
-import numpy as np
-
 from . import __version__
 from .acoustics import (mfp_analytic, mfp_from_trace, decay_csv_text,
                         rt60_from_decay, rt60_from_mfp, rt60_sabine)
 from .audio_io import wav_read, wav_write
 from .errors import AcousticDomainError, EchobakeError, InputError
 from .perception import cluster_csv_text
-from .pipeline import (BakeConfig, BakeFile, bake, lookup,
+from .pipeline import (BakeConfig, BakeFile, bake, lookup, parse_path_csv,
                        run_corridor_validation, run_mfp_validation)
 from .reverb import render_path
 from .scene import Scene, WatertightError, analytic_volume_and_area, load_scene
@@ -52,19 +50,6 @@ def _parse_point(text: str) -> tuple[float, float, float]:
         raise InputError(f"bad coordinate in {text!r}: {exc}") from exc
 
 
-def _read_path_csv(path: str) -> np.ndarray:
-    lines = _read(path).strip().splitlines()
-    if not lines or lines[0].strip() != "x,y,z":
-        raise InputError(f"{path}: path CSV must start with header 'x,y,z'")
-    try:
-        pts = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    if not pts or any(len(p) != 3 for p in pts):
-        raise InputError(f"{path}: every row needs exactly x,y,z")
-    return np.array(pts, dtype=np.float64)
-
-
 def _read_schedule_csv(path: str) -> list[tuple[float, int]]:
     lines = _read(path).strip().splitlines()
     if not lines or lines[0].strip() != "t_start_s,sample_index":
@@ -87,7 +72,7 @@ def _read_schedule_csv(path: str) -> list[tuple[float, int]]:
 
 def _cmd_bake(args) -> int:
     scene = _load_scene_args(args)
-    pts = _read_path_csv(args.path)
+    pts = parse_path_csv(_read(args.path), args.path)
     config = BakeConfig(seed=args.seed, er_rays=args.er_rays,
                         er_bounces=args.er_bounces, lr_rays=args.lr_rays,
                         lr_bounces=args.lr_bounces, jnd_mode=args.jnd_mode,

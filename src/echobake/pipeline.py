@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from .scene import Scene, analytic_volume_and_area, load_scene
 from .shapes import corridor_aperture_planes, validation_shapes
 from .tracer import TraceConfig, trace_energy_decay, trace_segments
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -46,15 +47,12 @@ class BakeConfig:
     lr_bounces: int = 300
     jnd_mode: str = "relative"
     cluster_reference: str = "first"
-    lr_source: str = "first"
     speed_of_sound: float = 343.0
     threads: int = 1
 
     def __post_init__(self) -> None:
         if self.threads < 1:
             raise InputError("threads must be at least 1")
-        if self.lr_source not in ("first", "centroid"):
-            raise InputError(f"unknown lr_source {self.lr_source!r}")
 
     def er_trace_config(self) -> TraceConfig:
         return TraceConfig(self.er_rays, self.er_bounces, self.seed,
@@ -99,9 +97,21 @@ class BakeFile:
     def __post_init__(self) -> None:
         if self.cluster_map.n_clusters > len(self.samples):
             raise InputError("more clusters than samples")
+        n_bands = len(self.band_edges_hz) - 1
         for i, c in enumerate(self.cluster_map.clusters):
             if c.rt60_bands is None or c.r_squared is None:
                 raise InputError(f"cluster {i} is missing its RT60 estimate")
+            if len(c.rt60_bands) != n_bands or len(c.r_squared) != n_bands:
+                raise InputError(
+                    f"cluster {i}: expected {n_bands} rt60_bands and r_squared "
+                    f"values, got {len(c.rt60_bands)} and {len(c.r_squared)}"
+                )
+            if not all(isinstance(rt, (int, float)) and math.isfinite(rt)
+                       and rt > 0.0 for rt in c.rt60_bands):
+                raise InputError(
+                    f"cluster {i}: every RT60 must be finite and positive, "
+                    f"got {list(c.rt60_bands)}"
+                )
 
     def _payload(self, with_timestamp: bool) -> dict:
         cfg = dataclasses.asdict(self.config)
@@ -237,10 +247,7 @@ def bake(scene: Scene, positions, config: BakeConfig = BakeConfig(),
 
     def lr_worker(ci: int) -> tuple[Cluster, float]:
         c = cmap.clusters[ci]
-        if config.lr_source == "centroid":
-            src = pts[c.start:c.stop].mean(axis=0)
-        else:
-            src = pts[c.start]
+        src = pts[c.start]
         t0 = time.perf_counter()
         counter.bump()
         try:
@@ -392,15 +399,40 @@ def _fixture_text(name: str) -> str:
     return resources.files("echobake.fixtures").joinpath(name).read_text()
 
 
+def parse_path_csv(text: str, source: str) -> np.ndarray:
+    """Parse a listener path: header ``x,y,z``, then one point per row.
+
+    Returns an (n, 3) float64 array with n >= 1. `source` names the input
+    in errors. Raises InputError naming the offending line.
+    """
+    lines = text.strip().splitlines()
+    if not lines or lines[0].strip() != "x,y,z":
+        raise InputError(f"{source}: path CSV must start with header 'x,y,z'")
+    if len(lines) == 1:
+        raise InputError(f"{source}: path CSV has no points")
+    pts = []
+    for line_no, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        if len(fields) != 3:
+            raise InputError(
+                f"{source}: line {line_no}: every row needs exactly x,y,z")
+        try:
+            point = [float(v) for v in fields]
+        except ValueError as exc:
+            raise InputError(f"{source}: line {line_no}: {exc}") from exc
+        if not all(math.isfinite(v) for v in point):
+            raise InputError(
+                f"{source}: line {line_no}: coordinates must be finite")
+        pts.append(point)
+    return np.array(pts, dtype=np.float64)
+
+
 def corridor_fixture() -> tuple[Scene, np.ndarray]:
     """The in-repo three-room corridor scene and its 60-point path."""
     scene = load_scene(_fixture_text("corridor.obj"),
                        _fixture_text("corridor_materials.json"))
-    lines = _fixture_text("corridor_path.csv").strip().splitlines()
-    if lines[0] != "x,y,z":
-        raise InputError("corridor path fixture has an unexpected header")
-    pts = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    return scene, pts
+    return scene, parse_path_csv(_fixture_text("corridor_path.csv"),
+                                 "corridor_path.csv")
 
 
 def _aperture_distance(point: np.ndarray) -> float:

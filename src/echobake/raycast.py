@@ -1,18 +1,13 @@
-"""Ray/triangle intersection kernels and the BVH used by point queries.
+"""The ray/triangle intersection kernel.
 
-Two code paths exist on purpose. The batched kernel evaluates one ray set
-against every triangle with numpy and is what the tracer uses; the scalar
-path walks a BVH in plain Python and backs single-ray queries. Both paths
-spell out the Moller-Trumbore arithmetic componentwise in exactly the same
-operation order, so a hit reports the same IEEE-754 double `t` no matter
-which path found it. Keep the two kernels in sync when editing: equality of
-(t, material) across paths is an invariant the test suite enforces on
-randomized ray suites.
+`batch_closest_hit` evaluates a ray set against every triangle with numpy
+using the Moller-Trumbore test. It is the only intersection code in the
+package: the tracer and single-ray scene queries both call it. The test
+suite checks it against a scalar reference kernel on randomized rays,
+requiring the same triangle and a bitwise-equal `t`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,13 +16,6 @@ import numpy as np
 # meshes do not leak rays along shared edges.
 DET_EPS = 1e-12
 BARY_EPS = 1e-9
-
-# Absolute slack (metres) for BVH box pruning. Box slab arithmetic differs
-# from triangle arithmetic, so pruning must be conservative to preserve
-# exact agreement with the exhaustive kernel.
-_BOX_SLACK = 1e-7
-
-_LEAF_SIZE = 4
 
 
 def batch_closest_hit(
@@ -49,7 +37,8 @@ def batch_closest_hit(
     Returns
     -------
     t : (N,) float64, inf where nothing was hit.
-    index : (N,) int64 triangle index, -1 where nothing was hit.
+    index : (N,) int64 triangle index, -1 where nothing was hit. Equal
+        distances resolve to the lower triangle index.
     """
     ox = origins[:, 0:1]
     oy = origins[:, 1:2]
@@ -96,175 +85,3 @@ def batch_closest_hit(
     best_t = t_masked[rows, idx]
     hit = np.isfinite(best_t)
     return best_t, np.where(hit, idx, -1)
-
-
-def _mt_scalar(ox, oy, oz, dx, dy, dz, tri, t_min):
-    """Scalar Moller-Trumbore. Mirrors batch_closest_hit exactly."""
-    ax, ay, az, e1x, e1y, e1z, e2x, e2y, e2z = tri
-    pvx = dy * e2z - dz * e2y
-    pvy = dz * e2x - dx * e2z
-    pvz = dx * e2y - dy * e2x
-    det = e1x * pvx + e1y * pvy + e1z * pvz
-    if -DET_EPS < det < DET_EPS:
-        return None
-    inv = 1.0 / det
-    tvx = ox - ax
-    tvy = oy - ay
-    tvz = oz - az
-    u = (tvx * pvx + tvy * pvy + tvz * pvz) * inv
-    if u < -BARY_EPS or u > 1.0 + BARY_EPS:
-        return None
-    qvx = tvy * e1z - tvz * e1y
-    qvy = tvz * e1x - tvx * e1z
-    qvz = tvx * e1y - tvy * e1x
-    v = (dx * qvx + dy * qvy + dz * qvz) * inv
-    if v < -BARY_EPS or u + v > 1.0 + BARY_EPS:
-        return None
-    t = (e2x * qvx + e2y * qvy + e2z * qvz) * inv
-    if t <= t_min:
-        return None
-    return t
-
-
-@dataclass
-class _Node:
-    lo: tuple[float, float, float]
-    hi: tuple[float, float, float]
-    left: int
-    right: int
-    start: int
-    count: int
-
-
-class Bvh:
-    """Median-split bounding volume hierarchy over triangles.
-
-    Traversal runs in plain Python floats; on meshes of a few hundred
-    triangles that is faster per single ray than numpy round trips, and it
-    shares IEEE semantics with the batched kernel.
-    """
-
-    def __init__(self, v0: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> None:
-        n = v0.shape[0]
-        verts = np.stack([v0, v0 + e1, v0 + e2], axis=1)
-        lo = verts.min(axis=1) - _BOX_SLACK
-        hi = verts.max(axis=1) + _BOX_SLACK
-        centroids = verts.mean(axis=1)
-
-        self._tris = [
-            (
-                float(v0[i, 0]), float(v0[i, 1]), float(v0[i, 2]),
-                float(e1[i, 0]), float(e1[i, 1]), float(e1[i, 2]),
-                float(e2[i, 0]), float(e2[i, 1]), float(e2[i, 2]),
-            )
-            for i in range(n)
-        ]
-        self._order: list[int] = []
-        self._nodes: list[_Node] = []
-        self._build(np.arange(n), lo, hi, centroids)
-
-    def _build(self, idx: np.ndarray, lo: np.ndarray, hi: np.ndarray, cen: np.ndarray) -> int:
-        node_lo = lo[idx].min(axis=0)
-        node_hi = hi[idx].max(axis=0)
-        me = len(self._nodes)
-        self._nodes.append(_Node(tuple(node_lo), tuple(node_hi), -1, -1, 0, 0))
-
-        c = cen[idx]
-        spread = c.max(axis=0) - c.min(axis=0)
-        axis = int(np.argmax(spread))
-        if len(idx) <= _LEAF_SIZE or spread[axis] <= 0.0:
-            node = self._nodes[me]
-            node.start = len(self._order)
-            node.count = len(idx)
-            self._order.extend(int(i) for i in idx)
-            return me
-
-        order = np.argsort(c[:, axis], kind="stable")
-        half = len(idx) // 2
-        left = self._build(idx[order[:half]], lo, hi, cen)
-        right = self._build(idx[order[half:]], lo, hi, cen)
-        node = self._nodes[me]
-        node.left = left
-        node.right = right
-        return me
-
-    def leaf_triangle_indices(self) -> list[int]:
-        """Every triangle index stored in leaves, in leaf order."""
-        return list(self._order)
-
-    def closest_hit(
-        self, ox: float, oy: float, oz: float, dx: float, dy: float, dz: float, t_min: float
-    ) -> tuple[float, int] | None:
-        nodes = self._nodes
-        tris = self._tris
-        order = self._order
-        best_t = float("inf")
-        best_i = -1
-        t_lo = t_min - _BOX_SLACK
-        stack = [0]
-        while stack:
-            node = nodes[stack.pop()]
-            lox, loy, loz = node.lo
-            hix, hiy, hiz = node.hi
-            t0 = t_lo
-            t1 = best_t + _BOX_SLACK if best_i >= 0 else float("inf")
-            if dx != 0.0:
-                inv = 1.0 / dx
-                ta = (lox - ox) * inv
-                tb = (hix - ox) * inv
-                if ta > tb:
-                    ta, tb = tb, ta
-                if ta > t0:
-                    t0 = ta
-                if tb < t1:
-                    t1 = tb
-                if t0 > t1:
-                    continue
-            elif ox < lox or ox > hix:
-                continue
-            if dy != 0.0:
-                inv = 1.0 / dy
-                ta = (loy - oy) * inv
-                tb = (hiy - oy) * inv
-                if ta > tb:
-                    ta, tb = tb, ta
-                if ta > t0:
-                    t0 = ta
-                if tb < t1:
-                    t1 = tb
-                if t0 > t1:
-                    continue
-            elif oy < loy or oy > hiy:
-                continue
-            if dz != 0.0:
-                inv = 1.0 / dz
-                ta = (loz - oz) * inv
-                tb = (hiz - oz) * inv
-                if ta > tb:
-                    ta, tb = tb, ta
-                if ta > t0:
-                    t0 = ta
-                if tb < t1:
-                    t1 = tb
-                if t0 > t1:
-                    continue
-            elif oz < loz or oz > hiz:
-                continue
-
-            if node.left >= 0:
-                stack.append(node.left)
-                stack.append(node.right)
-                continue
-            for k in range(node.start, node.start + node.count):
-                i = order[k]
-                t = _mt_scalar(ox, oy, oz, dx, dy, dz, tris[i], t_min)
-                if t is None:
-                    continue
-                # Tie-break on triangle index so traversal order never
-                # changes which hit wins versus the exhaustive kernel.
-                if t < best_t or (t == best_t and i < best_i):
-                    best_t = t
-                    best_i = i
-        if best_i < 0:
-            return None
-        return best_t, best_i

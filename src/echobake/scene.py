@@ -1,12 +1,12 @@
 """Scene loading and geometric queries.
 
 A scene is an immutable triangle soup with per-triangle materials, loaded
-from a small OBJ subset plus a JSON material table. Geometry queries come
-in two flavours: `Scene.intersect` (BVH-accelerated, used for point
-queries such as occlusion tests) and `Scene.intersect_brute` (exhaustive,
-kept as the reference oracle). `analytic_volume_and_area` gives the closed
-forms the mean-free-path estimator is validated against and is the only
-operation that requires a watertight mesh.
+from a small OBJ subset plus a JSON material table. Geometry queries
+(`Scene.intersect` for one ray, `Scene.batch_closest_hit` for many) run
+the exhaustive kernel in :mod:`echobake.raycast`.
+`analytic_volume_and_area` gives the closed forms the mean-free-path
+estimator is validated against and is the only operation that requires a
+watertight mesh.
 
 Supported mesh text, line by line:
 
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, MaterialError, MeshParseError, WatertightError
-from .raycast import Bvh, batch_closest_hit
+from .raycast import batch_closest_hit
 
 DEFAULT_BAND_EDGES = (0.0, 176.0, 775.0, 3408.0, 22050.0)
 
@@ -82,14 +82,6 @@ class Material:
                     "a coefficient of exactly 1 would absorb everything on first contact"
                 )
         object.__setattr__(self, "absorption", coeffs)
-
-
-@dataclass(frozen=True)
-class Triangle:
-    v0: tuple[float, float, float]
-    v1: tuple[float, float, float]
-    v2: tuple[float, float, float]
-    material_id: int
 
 
 @dataclass(frozen=True)
@@ -186,7 +178,7 @@ def parse_mesh(text: str) -> tuple[np.ndarray, list[tuple[int, int, int]], list[
 
 
 class Scene:
-    """Immutable triangle mesh with materials, bounds, and a BVH.
+    """Immutable triangle mesh with materials and bounds.
 
     Build scenes via :func:`load_scene`; the constructor is internal.
     """
@@ -200,8 +192,6 @@ class Scene:
         bands: BandLayout,
         fingerprint: str = "",
     ) -> None:
-        self._vertices = vertices
-        self._vertices.setflags(write=False)
         self._faces = list(faces)
         self.materials = tuple(materials)
         self.bands = bands
@@ -224,19 +214,10 @@ class Scene:
         self._material_ids = material_ids.astype(np.intp)
         self._alpha = np.asarray([m.absorption for m in materials], dtype=np.float64)
         self.bounds = (tri.reshape(-1, 3).min(axis=0), tri.reshape(-1, 3).max(axis=0))
-        self.bvh = Bvh(self._v0, self._e1, self._e2)
 
     @property
     def n_triangles(self) -> int:
         return self._v0.shape[0]
-
-    @property
-    def triangles(self) -> list[Triangle]:
-        v = self._vertices
-        return [
-            Triangle(tuple(v[a]), tuple(v[b]), tuple(v[c]), int(m))
-            for (a, b, c), m in zip(self._faces, self._material_ids)
-        ]
 
     def surface_area(self) -> float:
         return float(self._areas.sum())
@@ -255,27 +236,11 @@ class Scene:
                    int(self._material_ids[index]), int(index))
 
     def intersect(self, origin, direction, t_min: float = 0.0) -> Hit | None:
-        """Nearest triangle hit along a ray, via the BVH.
+        """Nearest triangle hit along one ray.
 
         `direction` must be unit length to 1e-9; `t` is then a distance in
         metres. Triangles are two-sided.
         """
-        o = np.asarray(origin, dtype=np.float64)
-        d = np.asarray(direction, dtype=np.float64)
-        norm = float(np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2]))
-        if abs(norm - 1.0) > 1e-9:
-            raise InputError(f"direction must be unit length (|d| = {norm!r})")
-        found = self.bvh.closest_hit(
-            float(o[0]), float(o[1]), float(o[2]),
-            float(d[0]), float(d[1]), float(d[2]), float(t_min),
-        )
-        if found is None:
-            return None
-        t, index = found
-        return self._hit_from_index(t, index, d)
-
-    def intersect_brute(self, origin, direction, t_min: float = 0.0) -> Hit | None:
-        """Exhaustive all-triangle variant of :meth:`intersect` (oracle)."""
         o = np.asarray(origin, dtype=np.float64).reshape(1, 3)
         d = np.asarray(direction, dtype=np.float64).reshape(1, 3)
         norm = float(np.linalg.norm(d))
@@ -289,8 +254,8 @@ class Scene:
     def batch_closest_hit(
         self, origins: np.ndarray, directions: np.ndarray, t_min: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized closest-hit used by the tracer. Same arithmetic as
-        the scalar oracle; returns (t, triangle index or -1) per ray."""
+        """Vectorized closest-hit used by the tracer; returns (t, triangle
+        index or -1) per ray."""
         return batch_closest_hit(origins, directions, self._v0, self._e1, self._e2, t_min)
 
 

@@ -19,10 +19,12 @@ import numpy as np
 from .errors import InputError, NoCollisionsError
 from .scene import Scene
 
-# Re-trace offsets after a hit: the parametric cutoff plus a small push
-# along the facing normal. Both far below any segment length of interest,
-# so path-length bias is negligible.
-T_MIN_BOUNCE = 1e-4
+# After a hit the next leg starts this far along the facing normal, on the
+# side the ray came from. The reflected ray moves away from the struck
+# plane, so that triangle and its coplanar neighbours lie at negative `t`
+# and every leg can be traced with t_min = 0: a second wall just ahead, as
+# at a room corner, is still found. The push is far below any segment
+# length of interest, so path-length bias is negligible.
 NORMAL_OFFSET = 1e-6
 
 # A ray is dropped once every band has decayed below this energy.
@@ -107,13 +109,6 @@ class EnergyDecayCurve:
         return (np.arange(self.n_bins) + 0.5) * self.bin_width_s
 
 
-def reflect(direction: np.ndarray, normal: np.ndarray) -> np.ndarray:
-    """Mirror `direction` about the plane with unit `normal`."""
-    d = np.asarray(direction, dtype=np.float64)
-    n = np.asarray(normal, dtype=np.float64)
-    return d - 2.0 * float(np.dot(d, n)) * n
-
-
 @functools.lru_cache(maxsize=8)
 def sphere_directions(seed: int, n: int) -> np.ndarray:
     """Uniform unit directions, one independent stream per ray.
@@ -144,14 +139,15 @@ def _check_source(scene: Scene, source: np.ndarray) -> None:
         )
 
 
-def _bounce(scene: Scene, origins, dirs, t_min):
+def _bounce(scene: Scene, origins, dirs):
     """One bounce for a batch of rays.
 
     Returns (t, hit mask, triangle ids, new origins, new directions); the
     last three carry entries only for rays that hit something, or None
-    when nothing did.
+    when nothing did. New directions are the incoming ones mirrored about
+    the struck triangle's plane.
     """
-    t, idx = scene.batch_closest_hit(origins, dirs, t_min)
+    t, idx = scene.batch_closest_hit(origins, dirs, 0.0)
     hit = idx >= 0
     if not np.any(hit):
         return t, hit, None, None, None
@@ -191,16 +187,14 @@ def trace_segments(scene: Scene, source, config: TraceConfig) -> PathTraceResult
     lengths = np.zeros((n, b), dtype=np.float64)
     completed = np.zeros(n, dtype=np.int64)
     alive = np.arange(n)
-    t_min = 0.0
     for j in range(b):
-        t, hit, _, points, reflected = _bounce(scene, origins, dirs, t_min)
+        t, hit, _, points, reflected = _bounce(scene, origins, dirs)
         if points is None:
             break
         alive = alive[hit]
         lengths[alive, j] = t[hit]
         completed[alive] = j + 1
         origins, dirs = points, reflected
-        t_min = T_MIN_BOUNCE
     if int(completed.sum()) == 0:
         raise NoCollisionsError("no collisions; mean-free path undefined")
     return PathTraceResult((float(src[0]), float(src[1]), float(src[2])), config,
@@ -229,9 +223,8 @@ def trace_energy_decay(scene: Scene, source, config: TraceConfig,
 
     dep_times: list[np.ndarray] = []
     dep_energy: list[np.ndarray] = []
-    t_min = 0.0
     for _ in range(b):
-        t, hit, ids, points, reflected = _bounce(scene, origins, dirs, t_min)
+        t, hit, ids, points, reflected = _bounce(scene, origins, dirs)
         if points is None:
             break
         elapsed = elapsed[hit] + t[hit] / config.speed_of_sound
@@ -243,7 +236,6 @@ def trace_energy_decay(scene: Scene, source, config: TraceConfig,
         origins, dirs = points[carry], reflected[carry]
         energy = energy[carry]
         elapsed = elapsed[carry]
-        t_min = T_MIN_BOUNCE
         if origins.shape[0] == 0:
             break
     if not dep_times:

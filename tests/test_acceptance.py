@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import random_rays
+from scalar_oracle import scene_closest_hit
 
 from echobake.acoustics import (edc_from_impulse_response, mfp_analytic,
                                 rt60_from_decay, rt60_from_mfp, rt60_sabine)
@@ -132,28 +133,22 @@ def test_criterion_8_deterministic_bakes(corridor_run):
     assert single.canonical_bytes() == report.bakefile.canonical_bytes()
 
 
-def test_criterion_9_bvh_exhaustive_equivalence(cube_scene, pyramid_scene,
-                                                pillar_scene, corridor_scene):
+def test_criterion_9_kernel_oracle_equivalence(cube_scene, pyramid_scene,
+                                              pillar_scene, corridor_scene):
+    # The batched kernel against the scalar reference that loops over every
+    # triangle: same triangle and bitwise-equal t for every ray.
     n = 100_000
     chunk = 5_000
     for scene in (cube_scene, pyramid_scene, pillar_scene, corridor_scene):
         origins, dirs = random_rays(scene, n, seed=2024)
 
-        t_ref = np.empty(n)
-        idx_ref = np.empty(n, dtype=np.int64)
+        t = np.empty(n)
+        idx = np.empty(n, dtype=np.int64)
         for c0 in range(0, n, chunk):
             c1 = c0 + chunk
-            t_ref[c0:c1], idx_ref[c0:c1] = scene.batch_closest_hit(
+            t[c0:c1], idx[c0:c1] = scene.batch_closest_hit(
                 origins[c0:c1], dirs[c0:c1], 1e-4)
 
-        mismatches = 0
-        for i in range(n):
-            found = scene.bvh.closest_hit(
-                origins[i, 0], origins[i, 1], origins[i, 2],
-                dirs[i, 0], dirs[i, 1], dirs[i, 2], 1e-4)
-            if found is None:
-                if idx_ref[i] != -1:
-                    mismatches += 1
-            elif found[1] != idx_ref[i] or found[0] != t_ref[i]:
-                mismatches += 1
+        t_ref, idx_ref = scene_closest_hit(scene, origins, dirs, 1e-4)
+        mismatches = int(np.count_nonzero((idx != idx_ref) | (t != t_ref)))
         assert mismatches == 0, f"{scene.n_triangles}-triangle scene"

@@ -113,6 +113,15 @@ class TestLookup:
         assert main(["lookup", "--bake", str(baked), "--index", "0",
                      "--pos", "2.4,2.5,2.5"]) == 2
 
+    def test_schema_1_bake_file(self, workdir, baked, capsys):
+        doc = json.loads(baked.read_text())
+        doc["schema_version"] = 1
+        doc["config"]["lr_source"] = "first"
+        old = workdir / "schema1.json"
+        old.write_text(json.dumps(doc))
+        assert main(["lookup", "--bake", str(old), "--index", "0"]) == 2
+        assert "unsupported bake schema 1" in capsys.readouterr().err
+
     def test_corrupt_bake_file(self, workdir, capsys):
         bad = workdir / "corrupt.json"
         bad.write_text("{]")

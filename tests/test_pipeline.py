@@ -8,7 +8,7 @@ from echobake.errors import InputError, ValidationFailure
 from echobake.perception import Cluster, ClusterMap, PathSample
 from echobake.pipeline import (BakeConfig, BakeFile, BakeStats, bake,
                                corridor_fixture, direct_sound_gain, lookup,
-                               run_mfp_validation)
+                               parse_path_csv, run_mfp_validation)
 from echobake.shapes import (corridor_obj, corridor_path,
                              default_materials_json, path_csv_text)
 
@@ -38,8 +38,6 @@ class TestBakeConfig:
     def test_validation(self):
         with pytest.raises(InputError):
             BakeConfig(threads=0)
-        with pytest.raises(InputError):
-            BakeConfig(lr_source="nearest")
 
 
 class TestBake:
@@ -57,7 +55,7 @@ class TestBake:
         assert c.rt60_bands is not None and len(c.rt60_bands) == 4
         assert all(rt > 0 for rt in c.rt60_bands)
         assert min(c.r_squared) > 0.99
-        # lr_source="first" anchors the trace at the first member.
+        # The high-order trace runs from the cluster's first member.
         assert c.lr_position == tuple(short_line()[0])
 
     def test_sample_mus_are_positive_and_smooth(self, cube_bake):
@@ -123,6 +121,30 @@ class TestBakeFileSerialization:
         doc = json.loads(cube_bake[0].to_json_bytes())
         doc["schema_version"] = 99
         with pytest.raises(InputError, match="unsupported bake schema"):
+            BakeFile.from_json(json.dumps(doc))
+
+    def test_schema_1_refused(self, cube_bake):
+        doc = json.loads(cube_bake[0].to_json_bytes())
+        doc["schema_version"] = 1
+        doc["config"]["lr_source"] = "first"
+        with pytest.raises(InputError, match="unsupported bake schema 1"):
+            BakeFile.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("rt60_bands", [float("nan"), -1.0], "expected 4"),
+        ("rt60_bands", [1.0, 1.0, 1.0, 1.0, 1.0], "expected 4"),
+        ("r_squared", [0.99, 0.99], "expected 4"),
+        ("rt60_bands", [1.0, float("nan"), 1.0, 1.0], "finite and positive"),
+        ("rt60_bands", [1.0, 1.0, float("inf"), 1.0], "finite and positive"),
+        ("rt60_bands", [1.0, 1.0, 1.0, -1.0], "finite and positive"),
+        ("rt60_bands", [0.0, 1.0, 1.0, 1.0], "finite and positive"),
+        ("rt60_bands", [1.0, "1.0", 1.0, 1.0], "finite and positive"),
+    ])
+    def test_bad_cluster_row_rejected(self, cube_bake, field, value,
+                                      message):
+        doc = json.loads(cube_bake[0].to_json_bytes())
+        doc["clusters"][0][field] = value
+        with pytest.raises(InputError, match=f"cluster 0: .*{message}"):
             BakeFile.from_json(json.dumps(doc))
 
     def test_missing_field(self, cube_bake):
@@ -216,6 +238,26 @@ class TestMfpValidationSuite:
     def test_impossible_tolerance_raises(self):
         with pytest.raises(ValidationFailure, match="mean free path"):
             run_mfp_validation(n_rays=100, n_bounces=5, tolerance=1e-9)
+
+
+class TestParsePathCsv:
+    def test_parses_points(self):
+        pts = parse_path_csv("x,y,z\n1,2,3\n4.5,5,6\n", "p.csv")
+        assert pts.dtype == np.float64
+        assert pts.tolist() == [[1.0, 2.0, 3.0], [4.5, 5.0, 6.0]]
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "header 'x,y,z'"),
+        ("a,b,c\n1,2,3\n", "header 'x,y,z'"),
+        ("x,y,z\n", "no points"),
+        ("x,y,z\n1,2,3\n1,2\n", "line 3: every row needs exactly x,y,z"),
+        ("x,y,z\n1,2,3,4\n", "line 2: every row needs exactly x,y,z"),
+        ("x,y,z\n1,two,3\n", "line 2: could not convert"),
+        ("x,y,z\n1,nan,3\n", "line 2: coordinates must be finite"),
+    ])
+    def test_rejects_malformed(self, text, message):
+        with pytest.raises(InputError, match=f"p.csv: .*{message}"):
+            parse_path_csv(text, "p.csv")
 
 
 class TestCorridorFixture:

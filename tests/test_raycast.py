@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from echobake.raycast import Bvh, batch_closest_hit
+from echobake.raycast import batch_closest_hit
 from echobake.scene import load_scene
 from echobake.shapes import cube_obj, default_materials_json
 
 from conftest import random_rays
+from scalar_oracle import scalar_closest_hit, scene_closest_hit
 
 
 def _triangle_arrays(tris):
@@ -56,7 +57,7 @@ def test_t_min_excludes_near_hits():
 
 def test_tie_breaks_toward_lower_index():
     # Two coplanar triangles sharing the hit point: argmin picks the
-    # first index, and the BVH must agree.
+    # first index, and the scalar oracle must agree.
     tris = [
         (((-1.0, -1.0, 2.0)), ((1.0, -1.0, 2.0)), ((0.0, 1.0, 2.0))),
         (((-1.0, 1.0, 2.0)), ((1.0, 1.0, 2.0)), ((0.0, -1.0, 2.0))),
@@ -66,16 +67,9 @@ def test_tie_breaks_toward_lower_index():
     direction = np.array([[0.0, 0.0, 1.0]])
     t, idx = batch_closest_hit(origin, direction, v0, e1, e2, 0.0)
     assert idx[0] == 0
-    bvh = Bvh(v0, e1, e2)
-    found = bvh.closest_hit(0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
-    assert found is not None
-    assert found[1] == 0
-    assert found[0] == t[0]
-
-
-def test_bvh_covers_every_triangle(pillar_scene):
-    assert sorted(pillar_scene.bvh.leaf_triangle_indices()) == \
-        list(range(pillar_scene.n_triangles))
+    t_ref, idx_ref = scalar_closest_hit(v0, e1, e2, origin, direction, 0.0)
+    assert idx_ref[0] == 0
+    assert t_ref[0] == t[0]
 
 
 @pytest.mark.parametrize("scene_name", ["cube", "pillar", "corridor"])
@@ -84,31 +78,25 @@ def test_bvh_matches_brute_force(scene_name, cube_scene, pillar_scene,
     scene = {"cube": cube_scene, "pillar": pillar_scene,
              "corridor": corridor_scene}[scene_name]
     origins, dirs = random_rays(scene, 2000, seed=42)
-    t_ref, idx_ref = scene.batch_closest_hit(origins, dirs, 1e-4)
-    for i in range(origins.shape[0]):
-        found = scene.bvh.closest_hit(
-            origins[i, 0], origins[i, 1], origins[i, 2],
-            dirs[i, 0], dirs[i, 1], dirs[i, 2], 1e-4)
-        if idx_ref[i] < 0:
-            assert found is None
-        else:
-            assert found is not None
-            assert found[1] == idx_ref[i]
-            assert found[0] == t_ref[i]
+    t, idx = scene.batch_closest_hit(origins, dirs, 1e-4)
+    t_ref, idx_ref = scene_closest_hit(scene, origins, dirs, 1e-4)
+    assert np.array_equal(idx, idx_ref)
+    assert np.array_equal(t, t_ref)
 
 
 def test_bvh_matches_brute_on_edge_aimed_rays(cube_scene):
     # Rays aimed exactly along face diagonals hit shared triangle edges;
-    # the tie-break and epsilon handling must agree between both paths.
+    # the tie-break and epsilon handling must agree with the oracle.
     origin = np.array([2.5, 2.5, 2.5])
     for target in [(5.0, 5.0, 2.5), (0.0, 0.0, 2.5), (5.0, 2.5, 5.0),
                    (2.5, 0.0, 0.0), (5.0, 5.0, 5.0), (0.0, 5.0, 0.0)]:
         d = np.asarray(target) - origin
         d = d / np.linalg.norm(d)
-        a = cube_scene.intersect(origin, d)
-        b = cube_scene.intersect_brute(origin, d)
-        assert a is not None and b is not None
-        assert a.t == b.t and a.triangle_index == b.triangle_index
+        hit = cube_scene.intersect(origin, d)
+        t_ref, idx_ref = scene_closest_hit(cube_scene, origin[None], d[None],
+                                           0.0)
+        assert hit is not None
+        assert hit.t == t_ref[0] and hit.triangle_index == idx_ref[0]
 
 
 def test_degenerate_direction_misses_everything():

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from echobake.errors import InputError, NoCollisionsError
+from echobake.pipeline import BakeConfig, corridor_fixture
 from echobake.scene import load_scene
 from echobake.shapes import cube_obj, default_materials_json
-from echobake.tracer import (PathTraceResult, TraceConfig, reflect,
+from echobake.tracer import (PathTraceResult, TraceConfig, _bounce,
                              segments_csv_text, sphere_directions,
                              trace_energy_decay, trace_segments)
 
@@ -60,29 +61,60 @@ class TestSphereDirections:
             d[0, 0] = 9.0
 
 
+def bounce_direction(d, n):
+    """Direction `_bounce` gives a ray `d` that strikes a plane with unit
+    normal `n` (either sign) at the origin, from one unit away."""
+    helper = (np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9
+              else np.array([0.0, 1.0, 0.0]))
+    u = np.cross(n, helper)
+    u /= np.linalg.norm(u)
+    w = np.cross(n, u)
+    verts = [10.0 * u, -5.0 * u + 9.0 * w, -5.0 * u - 9.0 * w]
+    obj = "".join(f"v {x!r} {y!r} {z!r}\n" for x, y, z in
+                  (v.tolist() for v in verts)) + "f 1 2 3\n"
+    scene = load_scene(obj, default_materials_json())
+    _, hit, _, _, reflected = _bounce(scene, -d[None, :], d[None, :])
+    assert hit[0]
+    return reflected[0]
+
+
+def oblique_pairs():
+    return st.tuples(unit_vectors(), unit_vectors()).filter(
+        lambda dn: abs(float(np.dot(*dn))) > 1e-3)
+
+
 class TestReflect:
     def test_hand_case(self):
         d = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
-        out = reflect(d, np.array([0.0, 1.0, 0.0]))
+        out = bounce_direction(d, np.array([0.0, 1.0, 0.0]))
         assert out == pytest.approx(np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0))
 
     def test_normal_incidence_reverses(self):
         n = np.array([0.0, 0.0, 1.0])
-        assert np.array_equal(reflect(-n, n), n)
+        assert np.array_equal(bounce_direction(-n, n), n)
 
-    @given(unit_vectors(), unit_vectors())
-    def test_preserves_length(self, d, n):
-        assert np.linalg.norm(reflect(d, n)) == pytest.approx(1.0, abs=1e-9)
+    @given(oblique_pairs())
+    def test_preserves_length(self, dn):
+        d, n = dn
+        assert np.linalg.norm(bounce_direction(d, n)) == pytest.approx(
+            1.0, abs=1e-9)
 
-    @given(unit_vectors(), unit_vectors())
-    def test_involution(self, d, n):
-        assert reflect(reflect(d, n), n) == pytest.approx(d, abs=1e-9)
+    @given(oblique_pairs())
+    def test_involution(self, dn):
+        # Mirroring is linear, so the reversed outgoing ray comes back
+        # along the reversed incoming one.
+        d, n = dn
+        back = -bounce_direction(-bounce_direction(d, n), n)
+        assert back == pytest.approx(d, abs=1e-9)
 
-    @given(unit_vectors(), unit_vectors())
-    def test_tangential_component_kept(self, d, n):
-        out = reflect(d, n)
+    @given(oblique_pairs())
+    def test_tangential_component_kept(self, dn):
+        d, n = dn
+        out = bounce_direction(d, n)
         assert float(np.dot(out, n)) == pytest.approx(-float(np.dot(d, n)),
                                                       abs=1e-9)
+        assert out - np.dot(out, n) * n == pytest.approx(
+            d - np.dot(d, n) * n, abs=1e-9)
 
 
 class TestTraceSegments:
@@ -109,6 +141,15 @@ class TestTraceSegments:
         b = trace_segments(cube_scene, CENTER, cfg)
         assert np.array_equal(a.lengths, b.lengths)
         assert np.array_equal(a.bounces_completed, b.bounces_completed)
+
+    def test_rays_stay_inside_closed_corridor(self):
+        # At these path points a ray reflects within 0.1 mm of a second
+        # wall; that wall must still be found, or the ray leaves the room.
+        scene, points = corridor_fixture()
+        cfg = BakeConfig().er_trace_config()
+        for i in (1, 32, 44, 45, 47):
+            res = trace_segments(scene, points[i], cfg)
+            assert not res.escaped.any(), f"point {i}"
 
     def test_open_scene_rays_escape(self):
         scene = load_scene(LONE_TRIANGLE_OBJ, default_materials_json())
