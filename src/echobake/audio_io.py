@@ -38,10 +38,6 @@ class AudioBuffer:
         object.__setattr__(self, "samples", arr)
 
     @property
-    def channels(self) -> int:
-        return 1
-
-    @property
     def duration_s(self) -> float:
         return self.samples.size / self.sample_rate
 

@@ -17,7 +17,7 @@ from . import __version__
 from .acoustics import (mfp_analytic, mfp_from_trace, decay_csv_text,
                         rt60_from_decay, rt60_from_mfp, rt60_sabine)
 from .audio_io import wav_read, wav_write
-from .errors import AcousticDomainError, EchobakeError, InputError
+from .errors import AcousticDomainError, EchobakeError, InputError, is_point
 from .perception import cluster_csv_text
 from .pipeline import (BakeConfig, BakeFile, bake, lookup, parse_path_csv,
                        run_corridor_validation, run_mfp_validation)
@@ -45,9 +45,12 @@ def _parse_point(text: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise InputError(f"expected x,y,z - got {text!r}")
     try:
-        return tuple(float(p) for p in parts)
+        point = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise InputError(f"bad coordinate in {text!r}: {exc}") from exc
+    if not is_point(point):
+        raise InputError(f"coordinates must be finite, got {text!r}")
+    return point
 
 
 def _read_schedule_csv(path: str) -> list[tuple[float, int]]:
@@ -57,14 +60,15 @@ def _read_schedule_csv(path: str) -> list[tuple[float, int]]:
             f"{path}: schedule CSV must start with header 't_start_s,sample_index'"
         )
     out = []
-    for ln in lines[1:]:
+    for line_no, ln in enumerate(lines[1:], start=2):
         parts = ln.split(",")
         if len(parts) != 2:
-            raise InputError(f"{path}: bad schedule row {ln!r}")
+            raise InputError(
+                f"{path}: line {line_no}: every row needs t_start_s,sample_index")
         try:
             out.append((float(parts[0]), int(parts[1])))
         except ValueError as exc:
-            raise InputError(f"{path}: {exc}") from exc
+            raise InputError(f"{path}: line {line_no}: {exc}") from exc
     if not out:
         raise InputError(f"{path}: schedule has no rows")
     return out
@@ -93,13 +97,9 @@ def _cmd_bake(args) -> int:
 
 def _cmd_lookup(args) -> int:
     bakefile = BakeFile.from_json(_read(args.bake))
-    if (args.index is None) == (args.pos is None):
-        raise InputError("provide exactly one of --index or --pos")
-    if args.index is not None:
-        res = lookup(bakefile, index=args.index)
-    else:
-        res = lookup(bakefile, position=_parse_point(args.pos),
-                     max_distance=args.radius)
+    pos = None if args.pos is None else _parse_point(args.pos)
+    res = lookup(bakefile, index=args.index, position=pos,
+                 max_distance=args.radius)
     bands = " ".join(f"{b:.3f}" for b in res.rt60.bands)
     print(f"sample {res.sample_index} (distance {res.distance_m:.3f} m) "
           f"-> cluster {res.cluster_id}")

@@ -10,6 +10,8 @@ maps to exit code 3.
 
 from __future__ import annotations
 
+import sys
+
 
 class EchobakeError(Exception):
     """Base class for all package errors."""
@@ -47,3 +49,17 @@ class InsufficientDecayError(AcousticDomainError):
 class ValidationFailure(AcousticDomainError):
     """A validation suite ran fine but a measured quantity missed its
     tolerance."""
+
+
+def is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def is_finite_real(x) -> bool:
+    """An int or float inside the float range: not a bool, NaN or inf."""
+    return (is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
+
+
+def is_point(p) -> bool:
+    """A tuple or list of exactly 3 finite reals."""
+    return isinstance(p, (tuple, list)) and len(p) == 3 and all(map(is_finite_real, p))

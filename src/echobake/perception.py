@@ -14,7 +14,7 @@ import bisect
 import io
 from dataclasses import dataclass, field
 
-from .errors import InputError
+from .errors import InputError, is_finite_real, is_int, is_point
 
 # Fitted range of the detection curve; outside it the line still
 # evaluates but results are flagged as extrapolated.
@@ -97,30 +97,29 @@ def jnd_lr(mu_ref: float, constants: JndConstants = DEFAULT_JND) -> float:
 
 @dataclass(frozen=True)
 class PathSample:
-    """One listener-path point with its traced (or analytic) mean free path."""
+    """One listener-path point with its traced mean free path."""
 
     index: int
     position: tuple[float, float, float]
     mu: float
-    mu_source: str = "er_trace"
 
     def __post_init__(self) -> None:
-        if self.mu <= 0.0:
-            raise InputError(f"sample {self.index}: mu must be positive")
-        if self.mu_source not in ("er_trace", "analytic"):
-            raise InputError(f"sample {self.index}: unknown mu_source "
-                             f"{self.mu_source!r}")
+        if not is_point(self.position):
+            raise InputError(f"sample {self.index}: position must be 3 finite "
+                             f"coordinates, got {self.position!r}")
+        if not (is_finite_real(self.mu) and self.mu > 0.0):
+            raise InputError(f"sample {self.index}: mu must be finite and "
+                             f"positive, got {self.mu!r}")
 
 
 @dataclass(frozen=True)
 class Cluster:
     """A contiguous run of path samples sharing one late-reverb solution.
 
-    `mu_ref` is the reference the join test used (the first member's mean
-    free path unless running-mean mode recomputed it); `jnd_threshold_m`
-    is the absolute tolerance applied at that reference. The pipeline
-    fills `rt60_bands`, `r_squared`, and `lr_position` after running the
-    cluster's one high-order trace.
+    `mu_ref` is the reference the join test used: the first member's mean
+    free path. `jnd_threshold_m` is the absolute tolerance applied at that
+    reference. The pipeline fills `rt60_bands`, `r_squared`, and
+    `lr_position` after running the cluster's one high-order trace.
     """
 
     start: int
@@ -146,17 +145,15 @@ class ClusterMap:
 
     clusters: tuple[Cluster, ...]
     n_samples: int
-    mode: str
-    reference: str
     _starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.clusters:
             raise InputError("cluster map must contain at least one cluster")
         expected = 0
-        for c in self.clusters:
-            if c.start != expected or c.stop <= c.start:
-                raise InputError("clusters must partition the samples in order")
+        for i, c in enumerate(self.clusters):
+            if not (is_int(c.start) and is_int(c.stop) and c.start == expected < c.stop):
+                raise InputError(f"cluster {i}: clusters must partition the samples in order")
             expected = c.stop
         if expected != self.n_samples:
             raise InputError(
@@ -190,8 +187,7 @@ def _threshold(mu_ref: float, constants: JndConstants, mode: str) -> float:
 
 def cluster_path(samples: list[PathSample] | tuple[PathSample, ...],
                  constants: JndConstants = DEFAULT_JND,
-                 mode: str = "relative",
-                 reference: str = "first") -> ClusterMap:
+                 mode: str = "relative") -> ClusterMap:
     """Group consecutive samples whose mean free paths are indistinguishable.
 
     Single forward pass: the first sample opens a cluster and becomes its
@@ -205,17 +201,12 @@ def cluster_path(samples: list[PathSample] | tuple[PathSample, ...],
     mode : "relative" scales the threshold with the reference (1% of it
         with default constants); "absolute" freezes the threshold at the
         reference room's value in metres.
-    reference : "first" keeps the opening sample's mu as reference;
-        "running_mean" updates the reference to the mean of the members
-        accepted so far.
     """
     if not samples:
         raise InputError("cluster_path requires at least one sample")
     for i, s in enumerate(samples):
         if s.index != i:
             raise InputError("sample indices must be contiguous from 0")
-    if reference not in ("first", "running_mean"):
-        raise InputError(f"unknown reference mode {reference!r}")
 
     clusters: list[Cluster] = []
     start = 0
@@ -232,15 +223,13 @@ def cluster_path(samples: list[PathSample] | tuple[PathSample, ...],
         thr = _threshold(ref, constants, mode)
         if abs(mu - ref) <= thr + _JOIN_SLACK_REL * ref:
             total += mu
-            if reference == "running_mean":
-                ref = total / (i - start + 1)
         else:
             close(i)
             start = i
             ref = mu
             total = mu
     close(len(samples))
-    return ClusterMap(tuple(clusters), len(samples), mode, reference)
+    return ClusterMap(tuple(clusters), len(samples))
 
 
 def cluster_csv_text(samples: list[PathSample] | tuple[PathSample, ...],

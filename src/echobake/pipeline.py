@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,14 +23,23 @@ import numpy as np
 
 from . import __version__
 from .acoustics import Rt60Estimate, mfp_analytic, mfp_from_trace, rt60_from_decay
-from .errors import EchobakeError, InputError, ValidationFailure
-from .perception import (DEFAULT_JND, Cluster, ClusterMap, JndConstants,
-                         PathSample, cluster_path)
-from .scene import Scene, analytic_volume_and_area, load_scene
+from .errors import (EchobakeError, InputError, ValidationFailure,
+                     is_finite_real, is_int, is_point)
+from .perception import DEFAULT_JND, Cluster, ClusterMap, PathSample, cluster_path
+from .scene import BandLayout, Scene, analytic_volume_and_area, load_scene
 from .shapes import corridor_aperture_planes, validation_shapes
 from .tracer import TraceConfig, trace_energy_decay, trace_segments
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
+
+# Persisted `config` keys, in constructor order.
+_CONFIG_KEYS = ("seed", "er_rays", "er_bounces", "lr_rays", "lr_bounces", "jnd_mode")
+
+MAX_CLUSTERS = 12
+MIN_COVERAGE = 0.8
+MU_FLATNESS = 0.015
+RT60_TOLERANCE = 0.05
+APERTURE_RADIUS_M = 0.5
 
 
 @dataclass(frozen=True)
@@ -46,21 +56,21 @@ class BakeConfig:
     lr_rays: int = 500
     lr_bounces: int = 300
     jnd_mode: str = "relative"
-    cluster_reference: str = "first"
-    speed_of_sound: float = 343.0
     threads: int = 1
 
     def __post_init__(self) -> None:
-        if self.threads < 1:
-            raise InputError("threads must be at least 1")
+        self.er_trace_config()
+        self.lr_trace_config()
+        if self.jnd_mode not in ("relative", "absolute"):
+            raise InputError(f"unknown jnd_mode {self.jnd_mode!r}")
+        if not (is_int(self.threads) and self.threads >= 1):
+            raise InputError("threads must be an integer of at least 1")
 
     def er_trace_config(self) -> TraceConfig:
-        return TraceConfig(self.er_rays, self.er_bounces, self.seed,
-                           self.speed_of_sound)
+        return TraceConfig(self.er_rays, self.er_bounces, self.seed)
 
     def lr_trace_config(self) -> TraceConfig:
-        return TraceConfig(self.lr_rays, self.lr_bounces, self.seed,
-                           self.speed_of_sound)
+        return TraceConfig(self.lr_rays, self.lr_bounces, self.seed)
 
 
 @dataclass(frozen=True)
@@ -95,38 +105,47 @@ class BakeFile:
     created_utc: str = ""
 
     def __post_init__(self) -> None:
-        if self.cluster_map.n_clusters > len(self.samples):
-            raise InputError("more clusters than samples")
-        n_bands = len(self.band_edges_hz) - 1
+        fp = self.scene_fingerprint
+        if not (isinstance(fp, str) and re.fullmatch("[0-9a-f]{64}", fp)):
+            raise InputError(f"scene fingerprint must be 64 hex digits, got {fp!r}")
+        if not isinstance(self.tool_version, str) or not isinstance(self.created_utc, str):
+            raise InputError("tool_version and created_utc must be strings")
+        n_bands = BandLayout(self.band_edges_hz).n_bands
+        for i, s in enumerate(self.samples):
+            if s.index != i:
+                raise InputError(f"sample {i}: index must be {i}, got {s.index!r}")
+        if self.cluster_map.n_samples != len(self.samples):
+            raise InputError("the cluster map and the samples differ in length")
         for i, c in enumerate(self.cluster_map.clusters):
             if c.rt60_bands is None or c.r_squared is None:
                 raise InputError(f"cluster {i} is missing its RT60 estimate")
             if len(c.rt60_bands) != n_bands or len(c.r_squared) != n_bands:
                 raise InputError(
                     f"cluster {i}: expected {n_bands} rt60_bands and r_squared "
-                    f"values, got {len(c.rt60_bands)} and {len(c.r_squared)}"
-                )
-            if not all(isinstance(rt, (int, float)) and math.isfinite(rt)
-                       and rt > 0.0 for rt in c.rt60_bands):
-                raise InputError(
-                    f"cluster {i}: every RT60 must be finite and positive, "
-                    f"got {list(c.rt60_bands)}"
-                )
+                    f"values, got {len(c.rt60_bands)} and {len(c.r_squared)}")
+            if not all(is_finite_real(rt) and rt > 0.0 for rt in c.rt60_bands):
+                raise InputError(f"cluster {i}: every RT60 must be finite and "
+                                 f"positive, got {list(c.rt60_bands)}")
+            if not all(is_finite_real(r) for r in c.r_squared):
+                raise InputError(f"cluster {i}: every r_squared must be finite, "
+                                 f"got {list(c.r_squared)}")
+            mus = (c.mu_ref, c.mu_mean, c.jnd_threshold_m)
+            if not all(is_finite_real(v) and v > 0.0 for v in mus):
+                raise InputError(f"cluster {i}: mu_ref, mu_mean and jnd_threshold_m "
+                                 f"must be finite and positive, got {mus}")
+            if not is_point(c.lr_position):
+                raise InputError(f"cluster {i}: lr_position must be 3 finite "
+                                 f"coordinates, got {c.lr_position!r}")
 
     def _payload(self, with_timestamp: bool) -> dict:
-        cfg = dataclasses.asdict(self.config)
-        del cfg["threads"]
         doc = {
             "schema_version": SCHEMA_VERSION,
             "tool_version": self.tool_version,
             "scene_fingerprint": self.scene_fingerprint,
             "band_edges_hz": list(self.band_edges_hz),
-            "config": cfg,
-            "jnd_mode": self.cluster_map.mode,
-            "cluster_reference": self.cluster_map.reference,
+            "config": {k: getattr(self.config, k) for k in _CONFIG_KEYS},
             "samples": [
-                {"index": s.index, "position": list(s.position),
-                 "mu": s.mu, "mu_source": s.mu_source}
+                {"index": s.index, "position": list(s.position), "mu": s.mu}
                 for s in self.samples
             ],
             "clusters": [
@@ -162,30 +181,31 @@ class BakeFile:
             doc = json.loads(data)
         except json.JSONDecodeError as exc:
             raise InputError(f"bake file is not valid JSON: {exc}") from exc
+        # Constructors check the values; left are missing keys and wrong containers.
+        part = "bake file"
         try:
             if doc["schema_version"] != SCHEMA_VERSION:
-                raise InputError(
-                    f"unsupported bake schema {doc['schema_version']}"
-                )
-            config = BakeConfig(**doc["config"])
-            samples = tuple(
-                PathSample(s["index"], tuple(s["position"]), s["mu"],
-                           s["mu_source"])
-                for s in doc["samples"]
-            )
-            clusters = tuple(
-                Cluster(c["start"], c["stop"], c["mu_ref"], c["mu_mean"],
-                        c["jnd_threshold_m"], tuple(c["rt60_bands"]),
-                        tuple(c["r_squared"]), tuple(c["lr_position"]))
-                for c in doc["clusters"]
-            )
-            cmap = ClusterMap(clusters, len(samples), doc["jnd_mode"],
-                              doc["cluster_reference"])
-            return cls(doc["scene_fingerprint"],
-                       tuple(doc["band_edges_hz"]), config, samples, cmap,
+                raise InputError(f"unsupported bake schema {doc['schema_version']}")
+            config = BakeConfig(*(doc["config"][k] for k in _CONFIG_KEYS))
+            sample_rows, cluster_rows = list(doc["samples"]), list(doc["clusters"])
+            samples = []
+            for i, s in enumerate(sample_rows):
+                part = f"bake file sample {i}"
+                samples.append(PathSample(s["index"], tuple(s["position"]), s["mu"]))
+            clusters = []
+            for i, c in enumerate(cluster_rows):
+                part = f"bake file cluster {i}"
+                clusters.append(Cluster(
+                    c["start"], c["stop"], c["mu_ref"], c["mu_mean"], c["jnd_threshold_m"],
+                    tuple(c["rt60_bands"]), tuple(c["r_squared"]), tuple(c["lr_position"])))
+            part = "bake file"
+            return cls(doc["scene_fingerprint"], tuple(doc["band_edges_hz"]), config,
+                       tuple(samples), ClusterMap(tuple(clusters), len(samples)),
                        doc["tool_version"], doc.get("created_utc", ""))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bake file is missing fields: {exc}") from exc
+        except KeyError as exc:
+            raise InputError(f"{part} is missing field {exc}") from exc
+        except TypeError as exc:
+            raise InputError(f"{part} has a value of the wrong type: {exc}") from exc
 
 
 def _prefixed(exc: EchobakeError, prefix: str) -> EchobakeError:
@@ -205,8 +225,8 @@ class _Counter:
             self.count += 1
 
 
-def bake(scene: Scene, positions, config: BakeConfig = BakeConfig(),
-         constants: JndConstants = DEFAULT_JND) -> tuple[BakeFile, BakeStats]:
+def bake(scene: Scene, positions,
+         config: BakeConfig = BakeConfig()) -> tuple[BakeFile, BakeStats]:
     """Precompute clustered late-reverb data along a listener path.
 
     Every point gets one low-order trace; every cluster gets exactly one
@@ -240,8 +260,7 @@ def bake(scene: Scene, positions, config: BakeConfig = BakeConfig(),
                    mus[i])
         for i in range(n)
     )
-    cmap = cluster_path(samples, constants, mode=config.jnd_mode,
-                        reference=config.cluster_reference)
+    cmap = cluster_path(samples, DEFAULT_JND, mode=config.jnd_mode)
 
     counter = _Counter()
 
@@ -268,8 +287,7 @@ def bake(scene: Scene, positions, config: BakeConfig = BakeConfig(),
             f"{cmap.n_clusters} clusters"
         )
     t_lr_ms = sum(r[1] for r in lr_results) / cmap.n_clusters
-    enriched_map = ClusterMap(tuple(r[0] for r in lr_results), n,
-                              cmap.mode, cmap.reference)
+    enriched_map = ClusterMap(tuple(r[0] for r in lr_results), n)
 
     stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     bakefile = BakeFile(scene.fingerprint, scene.bands.edges_hz, config,
@@ -291,8 +309,8 @@ def lookup(bakefile: BakeFile, index: int | None = None,
     """Find the cluster owning a baked sample, by index or by proximity.
 
     Position lookups snap to the nearest baked sample and report the
-    distance; beyond `max_distance` the query is outside the baked
-    coverage and refused.
+    distance; unless it is at most `max_distance` (a NaN never is), the
+    query is outside the baked coverage and refused.
     """
     if (index is None) == (position is None):
         raise InputError("provide exactly one of index or position")
@@ -305,34 +323,17 @@ def lookup(bakefile: BakeFile, index: int | None = None,
     else:
         p = np.asarray(position, dtype=np.float64)
         coords = np.array([s.position for s in bakefile.samples])
-        d = np.sqrt(((coords - p) ** 2).sum(axis=1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = np.sqrt(((coords - p) ** 2).sum(axis=1))
         si = int(np.argmin(d))
         dist = float(d[si])
-        if dist > max_distance:
+        if not dist <= max_distance:
             raise InputError(
                 f"position is {dist:.2f} m from the nearest baked sample, "
                 f"beyond the {max_distance:.2f} m coverage limit"
             )
     cid = bakefile.cluster_map.cluster_of(si)
     return LookupResult(cid, bakefile.rt60_of_cluster(cid), si, dist)
-
-
-def direct_sound_gain(scene: Scene, source, listener) -> float:
-    """Inverse-distance gain, zero when a surface blocks the segment.
-
-    The distance is floored at 0.1 m so near-coincident points cannot
-    produce unbounded gain.
-    """
-    s = np.asarray(source, dtype=np.float64)
-    p = np.asarray(listener, dtype=np.float64)
-    delta = p - s
-    dist = float(np.sqrt((delta * delta).sum()))
-    if dist < 1e-9:
-        raise InputError("source and listener coincide")
-    hit = scene.intersect(s, delta / dist)
-    if hit is not None and hit.t < dist - 1e-6:
-        return 0.0
-    return 1.0 / max(dist, 0.1)
 
 
 # Validation suites ---------------------------------------------------------
@@ -457,12 +458,7 @@ class CorridorReport:
 
 
 def run_corridor_validation(config: BakeConfig = BakeConfig(),
-                            full: bool = False,
-                            max_clusters: int = 12,
-                            min_coverage: float = 0.8,
-                            mu_flatness: float = 0.015,
-                            rt60_tolerance: float = 0.05,
-                            aperture_radius: float = 0.5) -> CorridorReport:
+                            full: bool = False) -> CorridorReport:
     """Bake the corridor fixture and check the clustering properties.
 
     Verifies that three dominant clusters cover most of the path, that
@@ -479,35 +475,35 @@ def run_corridor_validation(config: BakeConfig = BakeConfig(),
     failures: list[str] = []
     checks: list[str] = []
 
-    if cmap.n_clusters > max_clusters:
-        failures.append(f"{cmap.n_clusters} clusters exceed {max_clusters}")
-    checks.append(f"clusters: {cmap.n_clusters} (limit {max_clusters})")
+    if cmap.n_clusters > MAX_CLUSTERS:
+        failures.append(f"{cmap.n_clusters} clusters exceed {MAX_CLUSTERS}")
+    checks.append(f"clusters: {cmap.n_clusters} (limit {MAX_CLUSTERS})")
 
     dominant = cmap.dominant(3)
     covered = sum(cmap.clusters[i].size for i in dominant)
     coverage = covered / len(bakefile.samples)
-    if coverage < min_coverage:
+    if coverage < MIN_COVERAGE:
         failures.append(f"dominant coverage {coverage:.1%} below "
-                        f"{min_coverage:.0%}")
+                        f"{MIN_COVERAGE:.0%}")
     checks.append(f"dominant coverage: {coverage:.1%} "
-                  f"(minimum {min_coverage:.0%})")
+                  f"(minimum {MIN_COVERAGE:.0%})")
 
     max_dev = 0.0
     for ci in dominant:
         c = cmap.clusters[ci]
         for s in bakefile.samples[c.start:c.stop]:
             max_dev = max(max_dev, abs(s.mu - c.mu_mean) / c.mu_mean)
-    if max_dev > mu_flatness:
+    if max_dev > MU_FLATNESS:
         failures.append(f"in-cluster mu deviation {max_dev:.2%} above "
-                        f"{mu_flatness:.1%}")
+                        f"{MU_FLATNESS:.1%}")
     checks.append(f"in-cluster mu deviation: {max_dev:.2%} "
-                  f"(limit {mu_flatness:.1%})")
+                  f"(limit {MU_FLATNESS:.1%})")
 
     near = [s.index for s in bakefile.samples
-            if _aperture_distance(np.array(s.position)) <= aperture_radius]
+            if _aperture_distance(np.array(s.position)) <= APERTURE_RADIUS_M]
     merged = [i for i in near if cmap.cluster_of(i) in dominant]
     if merged:
-        failures.append(f"samples {merged} within {aperture_radius} m of a "
+        failures.append(f"samples {merged} within {APERTURE_RADIUS_M} m of a "
                         "doorway were merged into a dominant cluster")
     checks.append(f"doorway samples kept out of dominant clusters: "
                   f"{len(near)} checked")
@@ -525,11 +521,11 @@ def run_corridor_validation(config: BakeConfig = BakeConfig(),
                 dev = float(np.max(np.abs(np.array(est.bands) - cluster_rt)
                                    / cluster_rt))
                 max_rt_dev = max(max_rt_dev, dev)
-        if max_rt_dev > rt60_tolerance:
+        if max_rt_dev > RT60_TOLERANCE:
             failures.append(f"pointwise RT60 deviation {max_rt_dev:.2%} "
-                            f"above {rt60_tolerance:.0%}")
+                            f"above {RT60_TOLERANCE:.0%}")
         checks.append(f"pointwise RT60 deviation: {max_rt_dev:.2%} "
-                      f"(limit {rt60_tolerance:.0%})")
+                      f"(limit {RT60_TOLERANCE:.0%})")
 
     if failures:
         raise ValidationFailure("; ".join(failures))

@@ -2,9 +2,9 @@
 
 `batch_closest_hit` evaluates a ray set against every triangle with numpy
 using the Moller-Trumbore test. It is the only intersection code in the
-package: the tracer and single-ray scene queries both call it. The test
-suite checks it against a scalar reference kernel on randomized rays,
-requiring the same triangle and a bitwise-equal `t`.
+package; the tracer reaches it through `Scene.batch_closest_hit`. The
+test suite checks it against a scalar reference kernel on randomized
+rays, requiring the same triangle and a bitwise-equal `t`.
 """
 
 from __future__ import annotations

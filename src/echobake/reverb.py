@@ -77,16 +77,6 @@ class ReverbParams:
         return max(-3.0 * (d / self.sample_rate) / math.log10(g)
                    for d, g in zip(self.comb_delays, self.comb_gains))
 
-    def as_dict(self) -> dict:
-        return {
-            "sample_rate": self.sample_rate,
-            "comb_delays": list(self.comb_delays),
-            "comb_gains": list(self.comb_gains),
-            "allpass_delays": list(self.allpass_delays),
-            "allpass_gain": self.allpass_gain,
-            "wet_dry_mix": self.wet_dry_mix,
-        }
-
 
 def comb_feedback_gain(delay_s: float, rt60_s: float) -> float:
     """Feedback giving a comb 60 dB of decay per rt60_s seconds."""
@@ -122,8 +112,7 @@ def coprime_comb_delays(sample_rate: int) -> tuple[int, int, int, int]:
 
 
 def params_from_rt60(rt60_s: float, sample_rate: int,
-                     wet_dry_mix: float = 1.0,
-                     allpass_gain: float = DEFAULT_ALLPASS_GAIN) -> ReverbParams:
+                     wet_dry_mix: float = 1.0) -> ReverbParams:
     """Build the standard parameterization for a target decay time.
 
     Raises InputError for unsupported sample rates and for RT60 values so
@@ -146,7 +135,7 @@ def params_from_rt60(rt60_s: float, sample_rate: int,
     ap = tuple(_round_half_away(ms * sample_rate / 1000.0)
                for ms in ALLPASS_DELAYS_MS)
     return ReverbParams(sample_rate, delays, gains, ap,
-                        allpass_gain, wet_dry_mix)
+                        DEFAULT_ALLPASS_GAIN, wet_dry_mix)
 
 
 def _feedback_comb(x: np.ndarray, delay: int, gain) -> np.ndarray:
@@ -256,24 +245,25 @@ def _cluster_rt60(cmap: ClusterMap, cluster_id: int) -> float:
 
 def render_path(dry: AudioBuffer, cmap: ClusterMap,
                 schedule: list[tuple[float, int]],
-                wet_dry_mix: float = 1.0,
-                fade_s: float = FADE_S) -> AudioBuffer:
+                wet_dry_mix: float = 1.0) -> AudioBuffer:
     """Reverberate while the listener moves between clusters.
 
     `schedule` lists (start time in seconds, cluster id) switches; it
     must start at 0 and be strictly increasing, and every referenced
-    cluster needs a baked RT60. Comb gains ramp linearly over `fade_s`
+    cluster needs a baked RT60. Comb gains ramp linearly over `FADE_S`
     at each switch and hold their final values through the tail, so a
     single-entry schedule reproduces `render_reverb` exactly.
     """
     if not schedule:
         raise InputError("schedule is empty")
-    if schedule[0][0] != 0.0:
+    times = [t for t, _ in schedule]
+    if not all(math.isfinite(t) for t in times):
+        raise InputError(f"schedule times must be finite, got {times}")
+    if times[0] != 0.0:
         raise InputError(
             "schedule must start at t=0; the first "
-            f"entry starts at {schedule[0][0]} s"
+            f"entry starts at {times[0]} s"
         )
-    times = [t for t, _ in schedule]
     if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
         raise InputError("schedule times must be strictly increasing")
     if times[-1] >= dry.duration_s and len(schedule) > 1:
@@ -283,7 +273,7 @@ def render_path(dry: AudioBuffer, cmap: ClusterMap,
     rt60s = [_cluster_rt60(cmap, cid) for _, cid in schedule]
     plist = [params_from_rt60(rt, fs, wet_dry_mix) for rt in rt60s]
     params = plist[0]
-    n_fade = max(1, int(round(fade_s * fs)))
+    n_fade = max(1, int(round(FADE_S * fs)))
     switches = [int(round(t * fs)) for t in times]
 
     def gains_for_length(n: int) -> list[np.ndarray]:

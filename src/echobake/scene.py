@@ -1,9 +1,8 @@
 """Scene loading and geometric queries.
 
 A scene is an immutable triangle soup with per-triangle materials, loaded
-from a small OBJ subset plus a JSON material table. Geometry queries
-(`Scene.intersect` for one ray, `Scene.batch_closest_hit` for many) run
-the exhaustive kernel in :mod:`echobake.raycast`.
+from a small OBJ subset plus a JSON material table. Its one geometry query,
+`Scene.batch_closest_hit`, runs the kernel in :mod:`echobake.raycast`.
 `analytic_volume_and_area` gives the closed forms the mean-free-path
 estimator is validated against and is the only operation that requires a
 watertight mesh.
@@ -38,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, MaterialError, MeshParseError, WatertightError
+from .errors import (InputError, MaterialError, MeshParseError,
+                     WatertightError, is_finite_real)
 from .raycast import batch_closest_hit
 
 DEFAULT_BAND_EDGES = (0.0, 176.0, 775.0, 3408.0, 22050.0)
@@ -54,12 +54,13 @@ class BandLayout:
     edges_hz: tuple[float, ...] = DEFAULT_BAND_EDGES
 
     def __post_init__(self) -> None:
-        edges = tuple(float(e) for e in self.edges_hz)
+        edges = tuple(self.edges_hz)
         if len(edges) < 2:
             raise InputError("band layout needs at least two edges")
-        if any(b <= a for a, b in zip(edges, edges[1:])):
-            raise InputError(f"band edges must be strictly increasing, got {edges}")
-        object.__setattr__(self, "edges_hz", edges)
+        finite = all(is_finite_real(e) for e in edges)
+        if not finite or any(b <= a for a, b in zip(edges, edges[1:])):
+            raise InputError(f"band edges must be finite and strictly increasing, got {edges}")
+        object.__setattr__(self, "edges_hz", tuple(float(e) for e in edges))
 
     @property
     def n_bands(self) -> int:
@@ -82,21 +83,6 @@ class Material:
                     "a coefficient of exactly 1 would absorb everything on first contact"
                 )
         object.__setattr__(self, "absorption", coeffs)
-
-
-@dataclass(frozen=True)
-class Hit:
-    """Result of a closest-hit query.
-
-    The normal is unit length and points toward the side the ray came
-    from, so reflecting `direction` about it always bounces back into the
-    half-space of the incoming ray.
-    """
-
-    t: float
-    normal: tuple[float, float, float]
-    material_id: int
-    triangle_index: int
 
 
 def parse_materials(text: str) -> tuple[BandLayout, list[Material]]:
@@ -226,30 +212,6 @@ class Scene:
         """Area-weighted mean absorption per band."""
         weights = self._areas / self._areas.sum()
         return weights @ self._alpha[self._material_ids]
-
-    def _hit_from_index(self, t: float, index: int, direction: np.ndarray) -> Hit:
-        n = self._unit_normals[index]
-        d = direction
-        if d[0] * n[0] + d[1] * n[1] + d[2] * n[2] > 0.0:
-            n = -n
-        return Hit(float(t), (float(n[0]), float(n[1]), float(n[2])),
-                   int(self._material_ids[index]), int(index))
-
-    def intersect(self, origin, direction, t_min: float = 0.0) -> Hit | None:
-        """Nearest triangle hit along one ray.
-
-        `direction` must be unit length to 1e-9; `t` is then a distance in
-        metres. Triangles are two-sided.
-        """
-        o = np.asarray(origin, dtype=np.float64).reshape(1, 3)
-        d = np.asarray(direction, dtype=np.float64).reshape(1, 3)
-        norm = float(np.linalg.norm(d))
-        if abs(norm - 1.0) > 1e-9:
-            raise InputError(f"direction must be unit length (|d| = {norm!r})")
-        t, idx = batch_closest_hit(o, d, self._v0, self._e1, self._e2, float(t_min))
-        if idx[0] < 0:
-            return None
-        return self._hit_from_index(float(t[0]), int(idx[0]), d[0])
 
     def batch_closest_hit(
         self, origins: np.ndarray, directions: np.ndarray, t_min: float

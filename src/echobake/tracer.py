@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NoCollisionsError
+from .errors import InputError, NoCollisionsError, is_int
 from .scene import Scene
 
 # After a hit the next leg starts this far along the facing normal, on the
@@ -31,22 +31,24 @@ NORMAL_OFFSET = 1e-6
 ENERGY_FLOOR = 1e-12
 
 _BOUNDS_PAD = 1.0
+SPEED_OF_SOUND = 343.0  # m/s, air at about 20 C
+BIN_WIDTH_S = 1e-3  # energy decay histogram resolution
 
 
 @dataclass(frozen=True)
 class TraceConfig:
-    """Ray count, bounce depth, seed, and medium speed for one trace."""
+    """Ray count, bounce depth and seed for one trace."""
 
     n_rays: int = 500
     n_bounces: int = 20
     rng_seed: int = 0
-    speed_of_sound: float = 343.0
 
     def __post_init__(self) -> None:
-        if self.n_rays < 1 or self.n_bounces < 1:
-            raise InputError("n_rays and n_bounces must both be at least 1")
-        if self.speed_of_sound <= 0.0:
-            raise InputError("speed_of_sound must be positive")
+        counts = (self.n_rays, self.n_bounces)
+        if not all(is_int(v) and v >= 1 for v in counts):
+            raise InputError(f"n_rays and n_bounces must be integers >= 1, got {counts}")
+        if not (is_int(self.rng_seed) and self.rng_seed >= 0):
+            raise InputError(f"the seed must be an integer >= 0, got {self.rng_seed!r}")
 
 
 @dataclass(frozen=True)
@@ -201,8 +203,7 @@ def trace_segments(scene: Scene, source, config: TraceConfig) -> PathTraceResult
                            lengths, completed)
 
 
-def trace_energy_decay(scene: Scene, source, config: TraceConfig,
-                       bin_width_s: float = 1e-3) -> EnergyDecayCurve:
+def trace_energy_decay(scene: Scene, source, config: TraceConfig) -> EnergyDecayCurve:
     """Trace per-band energy and histogram its arrival times.
 
     Every ray starts with energy 1/n_rays in each band. A hit first
@@ -227,7 +228,7 @@ def trace_energy_decay(scene: Scene, source, config: TraceConfig,
         t, hit, ids, points, reflected = _bounce(scene, origins, dirs)
         if points is None:
             break
-        elapsed = elapsed[hit] + t[hit] / config.speed_of_sound
+        elapsed = elapsed[hit] + t[hit] / SPEED_OF_SOUND
         energy = energy[hit] * (1.0 - alpha_by_tri[ids])
         dep_times.append(elapsed.copy())
         dep_energy.append(energy.copy())
@@ -244,11 +245,11 @@ def trace_energy_decay(scene: Scene, source, config: TraceConfig,
     times = np.concatenate(dep_times)
     deposits = np.concatenate(dep_energy)
     duration = 2.0 * float(times.max())
-    n_bins = max(1, int(math.ceil(duration / bin_width_s)))
-    bins = np.minimum((times / bin_width_s).astype(np.int64), n_bins - 1)
+    n_bins = max(1, int(math.ceil(duration / BIN_WIDTH_S)))
+    bins = np.minimum((times / BIN_WIDTH_S).astype(np.int64), n_bins - 1)
     hist = np.zeros((n_bins, n_bands), dtype=np.float64)
     np.add.at(hist, bins, deposits)
-    return EnergyDecayCurve(bin_width_s, hist, scene.bands.edges_hz)
+    return EnergyDecayCurve(BIN_WIDTH_S, hist, scene.bands.edges_hz)
 
 
 def segments_csv_text(result: PathTraceResult) -> str:

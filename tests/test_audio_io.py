@@ -14,7 +14,6 @@ QUANT = 1.0 / 32767.0
 class TestAudioBuffer:
     def test_basic_properties(self):
         buf = AudioBuffer(44100, np.zeros(22050))
-        assert buf.channels == 1
         assert buf.duration_s == pytest.approx(0.5)
         assert buf.peak() == 0.0
 

@@ -113,6 +113,24 @@ class TestLookup:
         assert main(["lookup", "--bake", str(baked), "--index", "0",
                      "--pos", "2.4,2.5,2.5"]) == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--pos", "nan,nan,nan"],
+        ["--pos", "2.31,inf,2.5"],
+        ["--pos", "2.31,2.5,2.5", "--radius", "nan"],
+    ])
+    def test_nonfinite_query_refused(self, baked, capsys, args):
+        assert main(["lookup", "--bake", str(baked)] + args) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_schema_2_bake_file(self, workdir, baked, capsys):
+        doc = json.loads(baked.read_text())
+        doc["schema_version"] = 2
+        doc["jnd_mode"] = doc["cluster_reference"] = "relative"
+        old = workdir / "schema2.json"
+        old.write_text(json.dumps(doc))
+        assert main(["lookup", "--bake", str(old), "--index", "0"]) == 2
+        assert "unsupported bake schema 2" in capsys.readouterr().err
+
     def test_schema_1_bake_file(self, workdir, baked, capsys):
         doc = json.loads(baked.read_text())
         doc["schema_version"] = 1
@@ -153,6 +171,31 @@ class TestRender:
         assert code == 0
         assert "1 reverb segment" in capsys.readouterr().out
 
+    def test_nonfinite_schedule_time(self, workdir, baked, capsys):
+        # Split the one cluster in two, so the NaN row is a real switch
+        # and is not folded into the row before it.
+        doc = json.loads(baked.read_text())
+        first = doc["clusters"][0]
+        doc["clusters"] = [dict(first, stop=4), dict(first, start=4)]
+        two = workdir / "two_clusters.json"
+        two.write_text(json.dumps(doc))
+        schedule = workdir / "nan_schedule.csv"
+        schedule.write_text("t_start_s,sample_index\n0,0\nnan,5\n")
+        code = main(["render", "--bake", str(two),
+                     "--dry", str(workdir / "dry.wav"),
+                     "--schedule", str(schedule), "--out", str(workdir / "x.wav")])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_bad_schedule_row_names_line(self, workdir, baked, capsys):
+        bad = workdir / "bad_row.csv"
+        bad.write_text("t_start_s,sample_index\n0.0,0\n0.1,x\n")
+        code = main(["render", "--bake", str(baked),
+                     "--dry", str(workdir / "dry.wav"),
+                     "--schedule", str(bad), "--out", str(workdir / "x.wav")])
+        assert code == 2
+        assert "line 3" in capsys.readouterr().err
+
     def test_bad_schedule_header(self, workdir, baked, capsys):
         bad = workdir / "bad_schedule.csv"
         bad.write_text("time,cluster\n0.0,0\n")
@@ -192,6 +235,18 @@ class TestMfp:
                      "--source", "2.5,2.5"])
         assert code == 2
         assert "x,y,z" in capsys.readouterr().err
+
+    def test_nonfinite_source(self, workdir, capsys):
+        code = main(["mfp", "--scene", str(workdir / "cube.obj"),
+                     "--source", "nan,1,1"])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_negative_seed(self, workdir, capsys):
+        code = main(["mfp", "--scene", str(workdir / "cube.obj"),
+                     "--source", "2.5,2.5,2.5", "--seed", "-1"])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
 
 
 class TestRt60:

@@ -123,14 +123,6 @@ class TestClusterPath:
         assert cmap.clusters[1].mu_ref == 2.021
         assert cmap.clusters[1].size == 2
 
-    def test_running_mean_reference_recenters(self):
-        mus = [2.000, 2.019, 2.021]
-        first = cluster_path(make_samples(mus), reference="first")
-        running = cluster_path(make_samples(mus), reference="running_mean")
-        assert first.n_clusters == 2
-        assert running.n_clusters == 1
-        assert running.reference == "running_mean"
-
     def test_absolute_mode_ignores_local_scale(self):
         mus = [10.0, 10.05]
         relative = cluster_path(make_samples(mus), mode="relative")
@@ -153,8 +145,6 @@ class TestClusterPath:
         samples = make_samples([2.0, 2.0])
         with pytest.raises(InputError):
             cluster_path(samples, mode="auto")
-        with pytest.raises(InputError):
-            cluster_path(samples, reference="median")
 
     @given(st.lists(st.floats(0.5, 10.0), min_size=1, max_size=60))
     def test_partition_and_threshold_property(self, mus):
@@ -184,24 +174,22 @@ class TestClusterMap:
 
     def test_gap_rejected(self):
         with pytest.raises(InputError, match="partition"):
-            ClusterMap((self._cluster(0, 2), self._cluster(3, 4)), 4,
-                       "relative", "first")
+            ClusterMap((self._cluster(0, 2), self._cluster(3, 4)), 4)
 
     def test_overlap_rejected(self):
         with pytest.raises(InputError, match="partition"):
-            ClusterMap((self._cluster(0, 3), self._cluster(2, 4)), 4,
-                       "relative", "first")
+            ClusterMap((self._cluster(0, 3), self._cluster(2, 4)), 4)
 
     def test_wrong_total_rejected(self):
         with pytest.raises(InputError, match="cover"):
-            ClusterMap((self._cluster(0, 2),), 5, "relative", "first")
+            ClusterMap((self._cluster(0, 2),), 5)
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
-            ClusterMap((), 0, "relative", "first")
+            ClusterMap((), 0)
 
     def test_cluster_of_out_of_range(self):
-        cmap = ClusterMap((self._cluster(0, 2),), 2, "relative", "first")
+        cmap = ClusterMap((self._cluster(0, 2),), 2)
         with pytest.raises(InputError):
             cmap.cluster_of(2)
         with pytest.raises(InputError):
@@ -221,13 +209,6 @@ class TestPathSample:
         with pytest.raises(InputError, match="positive"):
             PathSample(0, (0.0, 0.0, 0.0), 0.0)
 
-    def test_rejects_unknown_source(self):
-        with pytest.raises(InputError, match="mu_source"):
-            PathSample(0, (0.0, 0.0, 0.0), 2.0, mu_source="guess")
-
-    def test_analytic_source_allowed(self):
-        s = PathSample(0, (0.0, 0.0, 0.0), 2.0, mu_source="analytic")
-        assert s.mu_source == "analytic"
 
 
 def test_cluster_csv_round_trip():

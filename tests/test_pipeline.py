@@ -3,16 +3,28 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from echobake.audio_io import AudioBuffer
 from echobake.errors import InputError, ValidationFailure
 from echobake.perception import Cluster, ClusterMap, PathSample
 from echobake.pipeline import (BakeConfig, BakeFile, BakeStats, bake,
-                               corridor_fixture, direct_sound_gain, lookup,
-                               parse_path_csv, run_mfp_validation)
+                               corridor_fixture, lookup, parse_path_csv,
+                               run_mfp_validation)
+from echobake.reverb import render_path
 from echobake.shapes import (corridor_obj, corridor_path,
                              default_materials_json, path_csv_text)
 
 FAST = BakeConfig(er_rays=60, er_bounces=10, lr_rays=80, lr_bounces=60)
+NAN, INF = float("nan"), float("inf")
+
+
+def _parent(doc, path):
+    """The container that holds the value at key path `path`, and its key."""
+    *parents, key = path
+    for k in parents:
+        doc = doc[k]
+    return doc, key
 
 
 def short_line(n=40):
@@ -29,15 +41,28 @@ def cube_bake(cube_scene):
 class TestBakeConfig:
     def test_trace_configs_carry_fields(self):
         cfg = BakeConfig(seed=9, er_rays=11, er_bounces=3, lr_rays=22,
-                         lr_bounces=7, speed_of_sound=340.0)
+                         lr_bounces=7)
         er, lr = cfg.er_trace_config(), cfg.lr_trace_config()
         assert (er.n_rays, er.n_bounces, er.rng_seed) == (11, 3, 9)
         assert (lr.n_rays, lr.n_bounces, lr.rng_seed) == (22, 7, 9)
-        assert er.speed_of_sound == lr.speed_of_sound == 340.0
 
     def test_validation(self):
         with pytest.raises(InputError):
             BakeConfig(threads=0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("er_rays", -5, "n_rays and n_bounces"),
+        ("er_bounces", 0, "n_rays and n_bounces"),
+        ("lr_rays", 2.5, "n_rays and n_bounces"),
+        ("lr_bounces", True, "n_rays and n_bounces"),
+        ("seed", -1, "seed"),
+        ("seed", "0", "seed"),
+        ("jnd_mode", "bogus", "jnd_mode"),
+        ("threads", 1.0, "threads"),
+    ])
+    def test_each_field_checked(self, field, value, message):
+        with pytest.raises(InputError, match=message):
+            BakeConfig(**{field: value})
 
 
 class TestBake:
@@ -130,6 +155,26 @@ class TestBakeFileSerialization:
         with pytest.raises(InputError, match="unsupported bake schema 1"):
             BakeFile.from_json(json.dumps(doc))
 
+    def test_schema_2_refused(self, cube_bake):
+        doc = json.loads(cube_bake[0].to_json_bytes())
+        doc["schema_version"] = 2
+        doc["jnd_mode"] = doc["config"]["jnd_mode"]
+        doc["cluster_reference"] = doc["config"]["cluster_reference"] = "first"
+        doc["config"]["speed_of_sound"] = 343.0
+        for s in doc["samples"]:
+            s["mu_source"] = "er_trace"
+        with pytest.raises(InputError, match="unsupported bake schema 2"):
+            BakeFile.from_json(json.dumps(doc))
+
+    def test_each_fact_stored_once(self, cube_bake):
+        doc = json.loads(cube_bake[0].to_json_bytes())
+        assert set(doc) == {"schema_version", "tool_version",
+                            "scene_fingerprint", "band_edges_hz", "config",
+                            "samples", "clusters", "created_utc"}
+        assert set(doc["config"]) == {"seed", "er_rays", "er_bounces",
+                                      "lr_rays", "lr_bounces", "jnd_mode"}
+        assert set(doc["samples"][0]) == {"index", "position", "mu"}
+
     @pytest.mark.parametrize("field, value, message", [
         ("rt60_bands", [float("nan"), -1.0], "expected 4"),
         ("rt60_bands", [1.0, 1.0, 1.0, 1.0, 1.0], "expected 4"),
@@ -139,6 +184,14 @@ class TestBakeFileSerialization:
         ("rt60_bands", [1.0, 1.0, 1.0, -1.0], "finite and positive"),
         ("rt60_bands", [0.0, 1.0, 1.0, 1.0], "finite and positive"),
         ("rt60_bands", [1.0, "1.0", 1.0, 1.0], "finite and positive"),
+        ("r_squared", [NAN] * 4, "every r_squared must be finite"),
+        ("mu_ref", NAN, "mu_ref, mu_mean and jnd_threshold_m"),
+        ("mu_mean", -1.0, "mu_ref, mu_mean and jnd_threshold_m"),
+        ("jnd_threshold_m", "0.02", "mu_ref, mu_mean and jnd_threshold_m"),
+        ("lr_position", [2.3, 2.5], "lr_position must be 3 finite"),
+        ("lr_position", [INF, 2.5, 2.5], "lr_position must be 3 finite"),
+        ("start", "0", "clusters must partition"),
+        ("stop", 40.0, "clusters must partition"),
     ])
     def test_bad_cluster_row_rejected(self, cube_bake, field, value,
                                       message):
@@ -150,15 +203,99 @@ class TestBakeFileSerialization:
     def test_missing_field(self, cube_bake):
         doc = json.loads(cube_bake[0].to_json_bytes())
         del doc["samples"]
-        with pytest.raises(InputError, match="missing fields"):
+        with pytest.raises(InputError, match="^bake file is missing field 'samples'"):
+            BakeFile.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("samples", 3, "position"), [1.0, 2.0], "sample 3: position"),
+        (("samples", 3, "position"), [None, 2.5, 2.5], "sample 3: position"),
+        (("samples", 3, "position"), ["2.4", 2.5, 2.5], "sample 3: position"),
+        (("samples", 3, "position"), [NAN, 2.5, 2.5], "sample 3: position"),
+        (("samples", 3, "position"), None, "sample 3 has a value of the wrong type"),
+        (("samples", 3, "mu"), NAN, "sample 3: mu must be finite and positive"),
+        (("samples", 3, "mu"), "2.0", "sample 3: mu must be finite and positive"),
+        (("samples", 3, "mu"), 0.0, "sample 3: mu must be finite and positive"),
+        (("samples", 3, "index"), "3", "sample 3: index must be 3"),
+        (("samples", 3, "index"), 4, "sample 3: index must be 3"),
+        (("samples", 3), {"index": 3, "position": [2.4, 2.5, 2.5]},
+         "sample 3 is missing field 'mu'"),
+        (("clusters", 0, "rt60_bands"), None, "cluster 0 has a value of the wrong type"),
+        (("config", "er_rays"), -5, "n_rays and n_bounces"),
+        (("config", "seed"), -1, "seed"),
+        (("config", "jnd_mode"), "bogus", "jnd_mode"),
+        (("config", "lr_bounces"), None, "n_rays and n_bounces"),
+        (("band_edges_hz",), [0.0, 3408.0, 775.0, 176.0, 22050.0],
+         "band edges must be finite and strictly increasing"),
+        (("band_edges_hz",), [0.0, 176.0, 775.0, 3408.0, NAN],
+         "band edges must be finite and strictly increasing"),
+        (("scene_fingerprint",), "abc", "64 hex digits"),
+        (("scene_fingerprint",), "G" * 64, "64 hex digits"),
+        (("tool_version",), 1, "tool_version"),
+        (("clusters",), 5, "^bake file has a value of the wrong type"),
+    ])
+    def test_bad_field_rejected(self, cube_bake, path, value, message):
+        doc = json.loads(cube_bake[0].to_json_bytes())
+        node, key = _parent(doc, path)
+        node[key] = value
+        with pytest.raises(InputError, match=message):
             BakeFile.from_json(json.dumps(doc))
 
     def test_unbaked_cluster_rejected_at_construction(self):
         samples = (PathSample(0, (0.0, 0.0, 0.0), 2.0),)
-        cmap = ClusterMap((Cluster(0, 1, 2.0, 2.0, 0.02),), 1,
-                          "relative", "first")
+        cmap = ClusterMap((Cluster(0, 1, 2.0, 2.0, 0.02),), 1)
         with pytest.raises(InputError, match="missing its RT60"):
             BakeFile("f" * 64, (0.0, 22050.0), BakeConfig(), samples, cmap)
+
+
+def _leaf_paths(node, prefix=()):
+    """Key paths to every scalar in a parsed JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaf_paths(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+_DELETE = object()
+_MUTATIONS = [_DELETE, None, NAN, INF, -INF, 1e308, -1e308, -1, 0, True,
+              "x", [], [1.0], {}]
+
+
+class TestBakeFileFuzz:
+    """A malformed bake file is refused with InputError, or it loads and
+    then looks up and renders without any other exception."""
+
+    @pytest.fixture(scope="class")
+    def small_bake(self, cube_scene):
+        data = bake(cube_scene, short_line(4), FAST)[0].to_json_bytes()
+        return data, list(_leaf_paths(json.loads(data)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(leaf=st.integers(min_value=0), mutation=st.sampled_from(_MUTATIONS))
+    def test_one_leaf_mutated(self, small_bake, leaf, mutation):
+        data, paths = small_bake
+        doc = json.loads(data)
+        node, key = _parent(doc, paths[leaf % len(paths)])
+        if mutation is _DELETE:
+            del node[key]
+        else:
+            node[key] = mutation
+        try:
+            bakefile = BakeFile.from_json(json.dumps(doc))
+        except InputError:
+            return
+        bakefile.canonical_bytes()
+        found = lookup(bakefile, index=0)
+        try:
+            lookup(bakefile, position=(2.4, 2.5, 2.5))
+        except InputError:
+            pass
+        dry = AudioBuffer(44100, np.full(441, 0.1))
+        try:
+            render_path(dry, bakefile.cluster_map, [(0.0, found.cluster_id)])
+        except InputError:
+            pass
 
 
 class TestBakeStats:
@@ -200,23 +337,17 @@ class TestLookup:
         with pytest.raises(InputError, match="out of range"):
             lookup(cube_bake[0], index=40)
 
-
-class TestDirectSoundGain:
-    def test_clear_line_inverse_distance(self, cube_scene):
-        gain = direct_sound_gain(cube_scene, (1.5, 2.5, 2.5), (3.5, 2.5, 2.5))
-        assert gain == pytest.approx(0.5, rel=1e-9)
-
-    def test_occluded_by_pillar(self, pillar_scene):
-        gain = direct_sound_gain(pillar_scene, (0.5, 2.5, 3.0), (3.5, 2.5, 3.0))
-        assert gain == 0.0
-
-    def test_near_field_clamped(self, cube_scene):
-        gain = direct_sound_gain(cube_scene, (2.5, 2.5, 2.5), (2.55, 2.5, 2.5))
-        assert gain == pytest.approx(10.0)
-
-    def test_coincident_rejected(self, cube_scene):
-        with pytest.raises(InputError, match="coincide"):
-            direct_sound_gain(cube_scene, (2.5, 2.5, 2.5), (2.5, 2.5, 2.5))
+    @pytest.mark.parametrize("position, max_distance", [
+        ((NAN, NAN, NAN), 1.0),
+        ((2.4, NAN, 2.5), 1.0),
+        ((2.4, 2.5, 2.5), NAN),
+        ((1e308, -1e308, 1e308), 1.0),
+    ])
+    def test_nonfinite_query_refused(self, cube_bake, position, max_distance):
+        # A NaN distance or limit fails `dist <= max_distance`; an
+        # overflowing distance is out of coverage, not a RuntimeWarning.
+        with pytest.raises(InputError, match="coverage"):
+            lookup(cube_bake[0], position=position, max_distance=max_distance)
 
 
 class TestMfpValidationSuite:

@@ -72,6 +72,19 @@ def test_band_layout_must_increase():
     assert BandLayout(DEFAULT_BAND_EDGES).n_bands == 4
 
 
+@pytest.mark.parametrize("edges", [
+    (0.0, 200.0, 100.0, 22050.0),
+    (0.0, float("nan"), 22050.0),
+    (0.0, 100.0, float("inf")),
+    (0.0, "100", 22050.0),
+    (0.0, True, 22050.0),
+    (0.0, None, 22050.0),
+])
+def test_band_layout_rejects_malformed_edges(edges):
+    with pytest.raises(InputError, match="finite and strictly increasing"):
+        BandLayout(edges)
+
+
 def test_degenerate_face_rejected():
     mesh = "v 0 0 0\nv 1 0 0\nv 2 0 0\nf 1 2 3\n"
     with pytest.raises(InputError, match="degenerate"):
@@ -166,26 +179,27 @@ def test_fingerprint_tracks_content():
     assert a.fingerprint != d.fingerprint
 
 
+def _closest_hit(scene, origin, direction, t_min=0.0):
+    t, idx = scene.batch_closest_hit(np.array([origin], dtype=np.float64),
+                                     np.array([direction], dtype=np.float64),
+                                     t_min)
+    return float(t[0]), int(idx[0])
+
+
 def test_intersect_cube_center(cube_scene):
-    hit = cube_scene.intersect((2.5, 2.5, 2.5), (1.0, 0.0, 0.0))
-    assert hit is not None
-    assert hit.t == pytest.approx(2.5, abs=1e-12)
-    # The normal is flipped to face the incoming ray.
-    assert np.dot(hit.normal, (1.0, 0.0, 0.0)) < 0
+    t, idx = _closest_hit(cube_scene, (2.5, 2.5, 2.5), (1.0, 0.0, 0.0))
+    assert idx >= 0
+    assert t == pytest.approx(2.5, abs=1e-12)
 
 
 def test_intersect_miss(cube_scene):
-    assert cube_scene.intersect((2.5, 2.5, 2.5), (1.0, 0.0, 0.0),
-                                t_min=10.0) is None
-
-
-def test_intersect_requires_unit_direction(cube_scene):
-    with pytest.raises(InputError):
-        cube_scene.intersect((2.5, 2.5, 2.5), (2.0, 0.0, 0.0))
+    _, idx = _closest_hit(cube_scene, (2.5, 2.5, 2.5), (1.0, 0.0, 0.0),
+                          t_min=10.0)
+    assert idx == -1
 
 
 def test_pillar_room_blocks_sight_lines(pillar_scene):
     # A ray aimed through a pillar's cell must stop at the pillar wall.
-    hit = pillar_scene.intersect((0.5, 2.5, 3.0), (1.0, 0.0, 0.0))
-    assert hit is not None
-    assert hit.t == pytest.approx(0.5, abs=1e-9)
+    t, idx = _closest_hit(pillar_scene, (0.5, 2.5, 3.0), (1.0, 0.0, 0.0))
+    assert idx >= 0
+    assert t == pytest.approx(0.5, abs=1e-9)

@@ -178,7 +178,9 @@ class TestTraceSegments:
         with pytest.raises(InputError):
             TraceConfig(n_rays=5, n_bounces=0)
         with pytest.raises(InputError):
-            TraceConfig(n_rays=5, n_bounces=5, speed_of_sound=0.0)
+            TraceConfig(n_rays=5, n_bounces=5, rng_seed=-1)
+        with pytest.raises(InputError):
+            TraceConfig(n_rays=5.0, n_bounces=5)
 
 
 class TestTraceEnergyDecay:
@@ -211,7 +213,7 @@ class TestTraceEnergyDecay:
 
     def test_curve_geometry(self, cube_scene):
         cfg = TraceConfig(n_rays=50, n_bounces=10, rng_seed=0)
-        curve = trace_energy_decay(cube_scene, CENTER, cfg, bin_width_s=1e-3)
+        curve = trace_energy_decay(cube_scene, CENTER, cfg)
         assert curve.bin_width_s == 1e-3
         assert curve.n_bands == 4
         assert curve.energies.shape == (curve.n_bins, 4)
