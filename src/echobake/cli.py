@@ -21,7 +21,7 @@ from .errors import AcousticDomainError, EchobakeError, InputError, is_point
 from .perception import cluster_csv_text
 from .pipeline import (BakeConfig, BakeFile, bake, lookup, parse_path_csv,
                        run_corridor_validation, run_mfp_validation)
-from .reverb import render_path
+from .reverb import fold_schedule, render_path
 from .scene import Scene, WatertightError, analytic_volume_and_area, load_scene
 from .shapes import default_materials_json
 from .tracer import TraceConfig, segments_csv_text, trace_energy_decay, trace_segments
@@ -113,18 +113,14 @@ def _cmd_render(args) -> int:
         dry = wav_read(pathlib.Path(args.dry).read_bytes())
     except OSError as exc:
         raise InputError(f"cannot read {args.dry}: {exc}") from exc
-    entries = _read_schedule_csv(args.schedule)
-    schedule: list[tuple[float, int]] = []
-    for t, sample_index in entries:
-        res = lookup(bakefile, index=sample_index)
-        if schedule and schedule[-1][1] == res.cluster_id:
-            continue
-        schedule.append((t, res.cluster_id))
+    schedule = [(t, lookup(bakefile, index=sample_index).cluster_id)
+                for t, sample_index in _read_schedule_csv(args.schedule)]
     out = render_path(dry, bakefile.cluster_map, schedule,
                       wet_dry_mix=args.mix)
     pathlib.Path(args.out).write_bytes(wav_write(out))
-    print(f"rendered {out.duration_s:.2f} s ({len(schedule)} reverb "
-          f"segment{'s' if len(schedule) != 1 else ''}) to {args.out}")
+    segments = len(fold_schedule(schedule))
+    print(f"rendered {out.duration_s:.2f} s ({segments} reverb "
+          f"segment{'s' if segments != 1 else ''}) to {args.out}")
     return 0
 
 

@@ -1,13 +1,30 @@
 """The ray/triangle intersection kernel.
 
-`batch_closest_hit` evaluates a ray set against every triangle with numpy
-using the Moller-Trumbore test. It is the only intersection code in the
-package; the tracer reaches it through `Scene.batch_closest_hit`. The
-test suite checks it against a scalar reference kernel on randomized
-rays, requiring the same triangle and a bitwise-equal `t`.
+`batch_closest_hit` evaluates a ray set against every triangle as one
+matrix product per chunk of rays. The Moller-Trumbore quantities are
+rewritten with Plucker scalar triple products, so each is linear in the
+ray row ``[o x d, d, o, 1]``:
+
+* ``det   = d . (e2 x e1)``
+* ``u_num = (o x d) . e2 - d . (e2 x v0)``
+* ``v_num = -(o x d) . e1 - d . (v0 x e1)``
+* ``t_num = o . n - v0 . n``, with ``n = e1 x e2``
+
+`plucker_coefficients` builds the per-triangle coefficients once per
+scene; `Scene.batch_closest_hit` is how the tracer reaches the kernel,
+which is the only intersection code in the package. The test suite checks
+it against an independent scalar Moller-Trumbore reference on randomized
+rays, requiring the same triangle and a `t` within 1e-12 m.
+
+A chunk holds at most `MAX_PAIRS` ray-triangle pairs, and every chunk
+works in one scratch buffer per thread, so the kernel never allocates a
+rays x triangles array: its memory beyond the per-ray inputs and outputs
+is a constant.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -17,13 +34,48 @@ import numpy as np
 DET_EPS = 1e-12
 BARY_EPS = 1e-9
 
+# Ray-triangle pairs evaluated per chunk; a chunk always holds at least one
+# ray, so a mesh with more triangles than this gets one ray per chunk.
+MAX_PAIRS = 65_536
+
+_scratch = threading.local()
+
+
+def plucker_coefficients(v0: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """(4, 10, M) coefficients of det, u_num, v_num and t_num.
+
+    Row k of block j multiplies entry k of the ray row ``[o x d, d, o, 1]``,
+    so ``rows @ coeffs`` gives all four quantities for every pair. `v0`,
+    `e1` and `e2` are (M, 3) float64 arrays; e1 = v1 - v0, e2 = v2 - v0.
+    """
+    normal = np.cross(e1, e2)
+    coeffs = np.zeros((4, 10, v0.shape[0]), dtype=np.float64)
+    coeffs[0, 3:6] = np.cross(e2, e1).T
+    coeffs[1, 0:3] = e2.T
+    coeffs[1, 3:6] = -np.cross(e2, v0).T
+    coeffs[2, 0:3] = -e1.T
+    coeffs[2, 3:6] = -np.cross(v0, e1).T
+    coeffs[3, 6:9] = normal.T
+    coeffs[3, 9] = -np.einsum("ij,ij->i", v0, normal)
+    return coeffs
+
+
+def _buffers(pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's scratch: room for five float and two bool values per
+    pair, grown only when one ray's row is larger than `MAX_PAIRS`."""
+    buffers = getattr(_scratch, "buffers", None)
+    if buffers is None or buffers[1].size < 2 * pairs:
+        size = max(pairs, MAX_PAIRS)
+        buffers = (np.empty(5 * size, dtype=np.float64),
+                   np.empty(2 * size, dtype=bool))
+        _scratch.buffers = buffers
+    return buffers
+
 
 def batch_closest_hit(
     origins: np.ndarray,
     directions: np.ndarray,
-    v0: np.ndarray,
-    e1: np.ndarray,
-    e2: np.ndarray,
+    coeffs: np.ndarray,
     t_min: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closest hit of N rays against all M triangles.
@@ -31,7 +83,7 @@ def batch_closest_hit(
     Parameters
     ----------
     origins, directions : (N, 3) float64 arrays.
-    v0, e1, e2 : (M, 3) float64 arrays; e1 = v1 - v0, e2 = v2 - v0.
+    coeffs : (4, 10, M) array from :func:`plucker_coefficients`.
     t_min : hits require t strictly greater than this.
 
     Returns
@@ -39,49 +91,54 @@ def batch_closest_hit(
     t : (N,) float64, inf where nothing was hit.
     index : (N,) int64 triangle index, -1 where nothing was hit. Equal
         distances resolve to the lower triangle index.
-    """
-    ox = origins[:, 0:1]
-    oy = origins[:, 1:2]
-    oz = origins[:, 2:3]
-    dx = directions[:, 0:1]
-    dy = directions[:, 1:2]
-    dz = directions[:, 2:3]
-    ax = v0[:, 0]
-    ay = v0[:, 1]
-    az = v0[:, 2]
-    e1x = e1[:, 0]
-    e1y = e1[:, 1]
-    e1z = e1[:, 2]
-    e2x = e2[:, 0]
-    e2y = e2[:, 1]
-    e2z = e2[:, 2]
 
-    pvx = dy * e2z - dz * e2y
-    pvy = dz * e2x - dx * e2z
-    pvz = dx * e2y - dy * e2x
-    det = e1x * pvx + e1y * pvy + e1z * pvz
+    Every ray's result depends only on that ray: it is the same bit for bit
+    whatever else is in the batch and however the batch is chunked.
+    """
+    n = origins.shape[0]
+    m = coeffs.shape[2]
+    rows = np.empty((n, 10), dtype=np.float64)
+    rows[:, 0:3] = np.cross(origins, directions)
+    rows[:, 3:6] = directions
+    rows[:, 6:9] = origins
+    rows[:, 9] = 1.0
+    t_out = np.empty(n, dtype=np.float64)
+    idx_out = np.empty(n, dtype=np.int64)
+    step = max(1, MAX_PAIRS // m)
+    floats, flags = _buffers(min(step, n) * m)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inv = 1.0 / det
-        tvx = ox - ax
-        tvy = oy - ay
-        tvz = oz - az
-        u = (tvx * pvx + tvy * pvy + tvz * pvz) * inv
-        qvx = tvy * e1z - tvz * e1y
-        qvy = tvz * e1x - tvx * e1z
-        qvz = tvx * e1y - tvy * e1x
-        v = (dx * qvx + dy * qvy + dz * qvz) * inv
-        t = (e2x * qvx + e2y * qvy + e2z * qvz) * inv
-        valid = (
-            ((det <= -DET_EPS) | (det >= DET_EPS))
-            & (u >= -BARY_EPS)
-            & (u <= 1.0 + BARY_EPS)
-            & (v >= -BARY_EPS)
-            & (u + v <= 1.0 + BARY_EPS)
-            & (t > t_min)
-        )
-    t_masked = np.where(valid, t, np.inf)
-    idx = np.argmin(t_masked, axis=1)
-    rows = np.arange(t_masked.shape[0])
-    best_t = t_masked[rows, idx]
-    hit = np.isfinite(best_t)
-    return best_t, np.where(hit, idx, -1)
+        for a in range(0, n, step):
+            b = min(a + step, n)
+            size = (b - a) * m
+            q = floats[:4 * size].reshape(4, b - a, m)
+            scaled = q[1:]
+            det, u, v, t = q
+            inv = floats[4 * size:5 * size].reshape(b - a, m)
+            valid = flags[:size].reshape(b - a, m)
+            test = flags[size:2 * size].reshape(b - a, m)
+
+            np.matmul(rows[a:b], coeffs, out=q)
+            np.greater_equal(det, DET_EPS, out=valid)
+            np.less_equal(det, -DET_EPS, out=test)
+            valid |= test
+            np.divide(1.0, det, out=inv)
+            np.multiply(scaled, inv, out=scaled)
+            np.greater_equal(u, -BARY_EPS, out=test)
+            valid &= test
+            np.less_equal(u, 1.0 + BARY_EPS, out=test)
+            valid &= test
+            np.greater_equal(v, -BARY_EPS, out=test)
+            valid &= test
+            np.add(u, v, out=inv)
+            np.less_equal(inv, 1.0 + BARY_EPS, out=test)
+            valid &= test
+            np.greater(t, t_min, out=test)
+            valid &= test
+            np.logical_not(valid, out=valid)
+            np.copyto(t, np.inf, where=valid)
+
+            best = np.argmin(t, axis=1)
+            best_t = t[np.arange(b - a), best]
+            t_out[a:b] = best_t
+            idx_out[a:b] = np.where(np.isfinite(best_t), best, -1)
+    return t_out, idx_out

@@ -243,16 +243,12 @@ def _cluster_rt60(cmap: ClusterMap, cluster_id: int) -> float:
     return sum(c.rt60_bands) / len(c.rt60_bands)
 
 
-def render_path(dry: AudioBuffer, cmap: ClusterMap,
-                schedule: list[tuple[float, int]],
-                wet_dry_mix: float = 1.0) -> AudioBuffer:
-    """Reverberate while the listener moves between clusters.
+def fold_schedule(schedule: list[tuple[float, int]]) -> list[tuple[float, int]]:
+    """Check a (start time, cluster id) schedule and drop every row that
+    repeats the cluster of the row before it.
 
-    `schedule` lists (start time in seconds, cluster id) switches; it
-    must start at 0 and be strictly increasing, and every referenced
-    cluster needs a baked RT60. Comb gains ramp linearly over `FADE_S`
-    at each switch and hold their final values through the tail, so a
-    single-entry schedule reproduces `render_reverb` exactly.
+    Times must be finite, start at 0 and strictly increase; every row is
+    checked before any is dropped.
     """
     if not schedule:
         raise InputError("schedule is empty")
@@ -266,6 +262,28 @@ def render_path(dry: AudioBuffer, cmap: ClusterMap,
         )
     if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
         raise InputError("schedule times must be strictly increasing")
+    folded = [schedule[0]]
+    for row in schedule[1:]:
+        if row[1] != folded[-1][1]:
+            folded.append(row)
+    return folded
+
+
+def render_path(dry: AudioBuffer, cmap: ClusterMap,
+                schedule: list[tuple[float, int]],
+                wet_dry_mix: float = 1.0) -> AudioBuffer:
+    """Reverberate while the listener moves between clusters.
+
+    `schedule` lists (start time in seconds, cluster id) rows; it must
+    start at 0 and be strictly increasing, and every referenced cluster
+    needs a baked RT60. Rows are checked, then folded by
+    :func:`fold_schedule`, so only a change of cluster is a switch. Comb
+    gains ramp linearly over `FADE_S` at each switch and hold their final
+    values through the tail, so a single-cluster schedule reproduces
+    `render_reverb` exactly.
+    """
+    schedule = fold_schedule(schedule)
+    times = [t for t, _ in schedule]
     if times[-1] >= dry.duration_s and len(schedule) > 1:
         raise InputError("schedule extends past the end of the audio")
 

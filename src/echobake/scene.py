@@ -2,7 +2,8 @@
 
 A scene is an immutable triangle soup with per-triangle materials, loaded
 from a small OBJ subset plus a JSON material table. Its one geometry query,
-`Scene.batch_closest_hit`, runs the kernel in :mod:`echobake.raycast`.
+`Scene.batch_closest_hit`, runs the kernel in :mod:`echobake.raycast` on
+Plucker coefficients that the scene builds once from its triangles.
 `analytic_volume_and_area` gives the closed forms the mean-free-path
 estimator is validated against and is the only operation that requires a
 watertight mesh.
@@ -25,7 +26,9 @@ Material table (JSON)::
     }
 
 Faces that appear before any ``usemtl`` use the material named
-``default``, which must then exist in the table.
+``default``, which must then exist in the table. Band edges and
+coefficients must be lists of finite numbers (not booleans); anything else
+raises :class:`MaterialError` naming the key or the material.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import numpy as np
 
 from .errors import (InputError, MaterialError, MeshParseError,
                      WatertightError, is_finite_real)
-from .raycast import batch_closest_hit
+from .raycast import batch_closest_hit, plucker_coefficients
 
 DEFAULT_BAND_EDGES = (0.0, 176.0, 775.0, 3408.0, 22050.0)
 
@@ -75,6 +78,13 @@ class Material:
     absorption: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.absorption, (list, tuple)):
+            raise MaterialError(f"material {self.name!r}: coefficients must be a list")
+        for a in self.absorption:
+            if not is_finite_real(a):
+                raise MaterialError(
+                    f"material {self.name!r}: absorption {a!r} is not a finite number"
+                )
         coeffs = tuple(float(a) for a in self.absorption)
         for a in coeffs:
             if not 0.0 <= a < 1.0:
@@ -93,20 +103,23 @@ def parse_materials(text: str) -> tuple[BandLayout, list[Material]]:
         raise MaterialError(f"material table is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "materials" not in doc:
         raise MaterialError('material table must be an object with a "materials" key')
-    edges = doc.get("band_edges_hz", DEFAULT_BAND_EDGES)
-    layout = BandLayout(tuple(edges))
+    edges = doc.get("band_edges_hz", list(DEFAULT_BAND_EDGES))
+    if not isinstance(edges, list):
+        raise MaterialError(f'"band_edges_hz" must be a list of numbers, got {edges!r}')
+    try:
+        layout = BandLayout(tuple(edges))
+    except InputError as exc:
+        raise MaterialError(f'"band_edges_hz": {exc}') from None
     raw = doc["materials"]
     if not isinstance(raw, dict) or not raw:
         raise MaterialError('"materials" must be a non-empty name -> coefficients mapping')
-    materials = []
-    for name, coeffs in raw.items():
-        if not isinstance(coeffs, (list, tuple)):
-            raise MaterialError(f"material {name!r}: coefficients must be a list")
-        if len(coeffs) != layout.n_bands:
+    materials = [Material(name, coeffs) for name, coeffs in raw.items()]
+    for m in materials:
+        if len(m.absorption) != layout.n_bands:
             raise MaterialError(
-                f"material {name!r}: expected {layout.n_bands} coefficients, got {len(coeffs)}"
+                f"material {m.name!r}: expected {layout.n_bands} coefficients, "
+                f"got {len(m.absorption)}"
             )
-        materials.append(Material(name, tuple(coeffs)))
     return layout, materials
 
 
@@ -197,6 +210,7 @@ class Scene:
             )
         self._areas = areas
         self._unit_normals = cross / norms[:, None]
+        self._coeffs = plucker_coefficients(self._v0, self._e1, self._e2)
         self._material_ids = material_ids.astype(np.intp)
         self._alpha = np.asarray([m.absorption for m in materials], dtype=np.float64)
         self.bounds = (tri.reshape(-1, 3).min(axis=0), tri.reshape(-1, 3).max(axis=0))
@@ -217,8 +231,8 @@ class Scene:
         self, origins: np.ndarray, directions: np.ndarray, t_min: float
     ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized closest-hit used by the tracer; returns (t, triangle
-        index or -1) per ray."""
-        return batch_closest_hit(origins, directions, self._v0, self._e1, self._e2, t_min)
+        index or -1) per ray. See :func:`echobake.raycast.batch_closest_hit`."""
+        return batch_closest_hit(origins, directions, self._coeffs, t_min)
 
 
 def load_scene(mesh_text: str, materials_text: str) -> Scene:

@@ -1,16 +1,26 @@
 """Scalar Moller-Trumbore reference for the batched ray/triangle kernel.
 
 Plain Python floats, one ray at a time, every triangle in index order with
-no acceleration structure. The arithmetic is spelled out componentwise in
-the same operation order as `echobake.raycast.batch_closest_hit`, so both
-report the same IEEE-754 double `t` for a hit; a strict `<` keeps the
-lower index on equal distances, like the kernel's argmin. Tests require
-the kernel to match it exactly.
+no acceleration structure, in the textbook order of operations: edge
+cross products, the determinant, then u, v and t scaled by its
+reciprocal. It shares only the `DET_EPS` and `BARY_EPS` cutoffs with
+`echobake.raycast.batch_closest_hit`, which evaluates the same tests from
+Plucker scalar triple products as a matrix product, so the two round
+differently. A strict `<` keeps the lower index on equal distances, like
+the kernel's argmin.
+
+Tests require the kernel to pick the same triangle for every ray and to
+report a `t` within `T_TOLERANCE_M` of this reference. The tolerance is
+fixed from the dtype, not fitted to the kernel: a few ulps of the room
+sizes in the tests (double epsilon is 2.2e-16), and a factor of 10^6 below
+`tracer.NORMAL_OFFSET`, the smallest length the tracer relies on.
 """
 
 import numpy as np
 
 from echobake.raycast import BARY_EPS, DET_EPS
+
+T_TOLERANCE_M = 1e-12
 
 
 def scalar_closest_hit(v0, e1, e2, origins, directions, t_min):
@@ -59,3 +69,10 @@ def scene_closest_hit(scene, origins, directions, t_min):
     """:func:`scalar_closest_hit` over a scene's triangles."""
     return scalar_closest_hit(scene._v0, scene._e1, scene._e2, origins,
                               directions, t_min)
+
+
+def mismatches(t, idx, t_ref, idx_ref):
+    """Rays where the kernel's triangle differs from the reference's, or
+    its `t` is further than `T_TOLERANCE_M` away (a miss is inf in both)."""
+    close = np.isclose(t, t_ref, rtol=0.0, atol=T_TOLERANCE_M)
+    return int(np.count_nonzero((idx != idx_ref) | ~close))

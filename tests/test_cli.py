@@ -187,6 +187,22 @@ class TestRender:
         assert code == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows, message", [
+        ("0,0\nnan,3\n", "finite"),
+        ("0,0\n5,3\n0.1,2\n", "increasing"),
+    ])
+    def test_folded_rows_still_checked(self, workdir, baked, capsys, rows,
+                                       message):
+        # Every sample is in the bake's one cluster, so these rows would
+        # fold away; their times must be checked all the same.
+        schedule = workdir / "folded_schedule.csv"
+        schedule.write_text("t_start_s,sample_index\n" + rows)
+        code = main(["render", "--bake", str(baked),
+                     "--dry", str(workdir / "dry.wav"),
+                     "--schedule", str(schedule), "--out", str(workdir / "x.wav")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_bad_schedule_row_names_line(self, workdir, baked, capsys):
         bad = workdir / "bad_row.csv"
         bad.write_text("t_start_s,sample_index\n0.0,0\n0.1,x\n")
@@ -241,6 +257,18 @@ class TestMfp:
                      "--source", "nan,1,1"])
         assert code == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("table, named", [
+        ('{"materials": {"default": ["x", 0.1, 0.1, 0.1]}}', "'default'"),
+        ('{"band_edges_hz": 5, "materials": {"default": [0.1]}}', "band_edges_hz"),
+    ])
+    def test_malformed_materials(self, workdir, capsys, table, named):
+        mats = workdir / "bad_materials.json"
+        mats.write_text(table)
+        code = main(["mfp", "--scene", str(workdir / "cube.obj"),
+                     "--materials", str(mats), "--source", "2.5,2.5,2.5"])
+        assert code == 2
+        assert named in capsys.readouterr().err
 
     def test_negative_seed(self, workdir, capsys):
         code = main(["mfp", "--scene", str(workdir / "cube.obj"),

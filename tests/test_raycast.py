@@ -1,12 +1,17 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from echobake.raycast import batch_closest_hit
+from echobake import raycast
+from echobake.raycast import MAX_PAIRS, plucker_coefficients
 from echobake.scene import load_scene
 from echobake.shapes import cube_obj, default_materials_json
 
 from conftest import random_rays
-from scalar_oracle import scalar_closest_hit, scene_closest_hit
+from scalar_oracle import mismatches, scalar_closest_hit, scene_closest_hit
 
 
 def _triangle_arrays(tris):
@@ -14,6 +19,11 @@ def _triangle_arrays(tris):
     v1 = np.array([t[1] for t in tris], dtype=np.float64)
     v2 = np.array([t[2] for t in tris], dtype=np.float64)
     return v0, v1 - v0, v2 - v0
+
+
+def batch_closest_hit(origins, directions, v0, e1, e2, t_min):
+    return raycast.batch_closest_hit(origins, directions,
+                                     plucker_coefficients(v0, e1, e2), t_min)
 
 
 def test_single_triangle_hit_distance():
@@ -69,7 +79,32 @@ def test_tie_breaks_toward_lower_index():
     assert idx[0] == 0
     t_ref, idx_ref = scalar_closest_hit(v0, e1, e2, origin, direction, 0.0)
     assert idx_ref[0] == 0
-    assert t_ref[0] == t[0]
+    assert mismatches(t, idx, t_ref, idx_ref) == 0
+
+
+@pytest.mark.parametrize("u, v, hit", [
+    (0.5, -0.9e-9, True),
+    (0.5, -1.1e-9, False),
+    (-0.9e-9, 0.5, True),
+    (-1.1e-9, 0.5, False),
+    (0.5, 0.5 + 0.9e-9, True),
+    (0.5, 0.5 + 1.1e-9, False),
+    # u above 1 + BARY_EPS while u + v stays inside: only the u bound
+    # rejects it.
+    (1.0 + 1.5e-9, -0.9e-9, False),
+])
+def test_barycentric_bounds(u, v, hit):
+    # v0 at the origin with unit edges along x and y, so a ray down the z
+    # axis through (u, v) hits at barycentric coordinates (u, v).
+    v0, e1, e2 = _triangle_arrays([
+        (((0.0, 0.0, 1.0)), ((1.0, 0.0, 1.0)), ((0.0, 1.0, 1.0))),
+    ])
+    origin = np.array([[u, v, 0.0]])
+    direction = np.array([[0.0, 0.0, 1.0]])
+    t, idx = batch_closest_hit(origin, direction, v0, e1, e2, 0.0)
+    assert idx[0] == (0 if hit else -1)
+    t_ref, idx_ref = scalar_closest_hit(v0, e1, e2, origin, direction, 0.0)
+    assert mismatches(t, idx, t_ref, idx_ref) == 0
 
 
 @pytest.mark.parametrize("scene_name", ["cube", "pillar", "corridor"])
@@ -81,7 +116,7 @@ def test_bvh_matches_brute_force(scene_name, cube_scene, pillar_scene,
     t, idx = scene.batch_closest_hit(origins, dirs, 1e-4)
     t_ref, idx_ref = scene_closest_hit(scene, origins, dirs, 1e-4)
     assert np.array_equal(idx, idx_ref)
-    assert np.array_equal(t, t_ref)
+    assert mismatches(t, idx, t_ref, idx_ref) == 0
 
 
 def test_bvh_matches_brute_on_edge_aimed_rays(cube_scene):
@@ -104,3 +139,110 @@ def test_degenerate_direction_misses_everything():
     t, idx = scene.batch_closest_hit(np.array([[1.0, 1.0, 1.0]]),
                                      np.zeros((1, 3)), 0.0)
     assert idx[0] == -1
+
+
+def _assert_same_bits(got, want):
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_result_independent_of_batch(corridor_scene):
+    # A ray's t and index must not depend on the other rays in its call.
+    origins, dirs = random_rays(corridor_scene, 3000, seed=7)
+    t, idx = corridor_scene.batch_closest_hit(origins, dirs, 1e-4)
+    assert np.count_nonzero(idx >= 0) > 2000
+    subsets = [slice(0, 1), slice(1234, 1235), slice(0, 2), slice(17, 400),
+               slice(2999, 3000), np.random.default_rng(3).permutation(3000)[:777]]
+    for rows in subsets:
+        got = corridor_scene.batch_closest_hit(origins[rows], dirs[rows], 1e-4)
+        _assert_same_bits(got, (t[rows], idx[rows]))
+
+
+def test_result_independent_of_chunking(corridor_scene):
+    # One call well above MAX_PAIRS crosses chunk boundaries, and it must
+    # give what calls that each fit in a single chunk give.
+    n = 3 * MAX_PAIRS // corridor_scene.n_triangles + 5
+    origins, dirs = random_rays(corridor_scene, n, seed=11)
+    t, idx = corridor_scene.batch_closest_hit(origins, dirs, 1e-4)
+    step = 500
+    assert step * corridor_scene.n_triangles <= MAX_PAIRS
+    for a in range(0, n, step):
+        got = corridor_scene.batch_closest_hit(origins[a:a + step],
+                                               dirs[a:a + step], 1e-4)
+        _assert_same_bits(got, (t[a:a + step], idx[a:a + step]))
+
+
+def test_more_triangles_than_max_pairs():
+    # A mesh wider than one chunk still runs one ray per chunk.
+    v0, e1, e2 = _triangle_arrays([
+        (((-1.0, -1.0, 2.0)), ((1.0, -1.0, 2.0)), ((0.0, 1.0, 2.0))),
+    ])
+    reps = MAX_PAIRS + 3
+    offset = np.zeros((reps, 3))
+    offset[:, 2] = np.arange(reps, 0, -1, dtype=np.float64)
+    t, idx = batch_closest_hit(np.zeros((2, 3)), np.array([[0.0, 0.0, 1.0]] * 2),
+                               v0 + offset, np.repeat(e1, reps, axis=0),
+                               np.repeat(e2, reps, axis=0), 0.0)
+    assert idx.tolist() == [reps - 1, reps - 1]
+    assert t.tolist() == [3.0, 3.0]
+
+
+def test_concurrent_calls_match_serial(corridor_scene):
+    # Each thread works in its own scratch buffer. More threads than cores
+    # and a short switch interval make the calls interleave.
+    rays = [random_rays(corridor_scene, 2000, seed=s) for s in (21, 22, 23, 24)]
+    want = [corridor_scene.batch_closest_hit(o, d, 1e-4) for o, d in rays]
+    got = [[] for _ in rays]
+    start = threading.Barrier(len(rays))
+
+    def work(k):
+        start.wait(timeout=30)
+        for _ in range(10):
+            got[k].append(corridor_scene.batch_closest_hit(*rays[k], 1e-4))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(rays))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for k in range(len(rays)):
+        assert len(got[k]) == 10
+        for result in got[k]:
+            _assert_same_bits(result, want[k])
+
+
+def test_cold_call_memory_bounded_by_max_pairs(corridor_scene):
+    # In a fresh thread the scratch buffer is allocated during the call; it
+    # holds MAX_PAIRS pairs, so it is smaller than one float per pair.
+    n = 20_000
+    assert n * corridor_scene.n_triangles > 10 * MAX_PAIRS
+    origins, dirs = random_rays(corridor_scene, n, seed=6)
+    tracemalloc.start()
+    try:
+        th = threading.Thread(target=corridor_scene.batch_closest_hit,
+                              args=(origins, dirs, 1e-4))
+        th.start()
+        th.join(timeout=60)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not th.is_alive()
+    assert peak < n * corridor_scene.n_triangles * np.dtype(np.float64).itemsize
+
+
+def test_memory_below_one_rays_by_triangles_array(corridor_scene):
+    origins, dirs = random_rays(corridor_scene, 2000, seed=5)
+    assert corridor_scene.n_triangles == 44
+    corridor_scene.batch_closest_hit(origins, dirs, 1e-4)
+    tracemalloc.start()
+    try:
+        corridor_scene.batch_closest_hit(origins, dirs, 1e-4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 * 44 * np.dtype(np.float64).itemsize

@@ -10,7 +10,7 @@ from echobake.reverb import (ALLPASS_DELAYS_MS, COMB_DELAYS_MS,
                              DEFAULT_ALLPASS_GAIN, MIN_COMB_GAIN,
                              SUPPORTED_RATES, TAIL_FLOOR, ReverbParams,
                              _allpass, _feedback_comb, comb_feedback_gain,
-                             coprime_comb_delays, params_from_rt60,
+                             coprime_comb_delays, fold_schedule, params_from_rt60,
                              render_path, render_reverb)
 
 FS = 44100
@@ -336,6 +336,21 @@ class TestRenderPath:
                 render_path(dry, cmap, [(0.0, 0), (bad, 1)])
         with pytest.raises(InputError, match="unknown cluster"):
             render_path(dry, cmap, [(0.0, 5)])
+
+    def test_fold_schedule(self):
+        assert fold_schedule([(0.0, 1), (0.2, 1), (0.3, 0), (0.4, 0), (0.5, 1)]) == [
+            (0.0, 1), (0.3, 0), (0.5, 1)]
+        # Rows that fold away are checked first.
+        for bad in ([(0.0, 0), (float("nan"), 0)], [(0.0, 0), (0.5, 0), (0.1, 0)]):
+            with pytest.raises(InputError):
+                fold_schedule(bad)
+
+    def test_repeated_cluster_rows_render_as_one(self):
+        cmap = baked_map([0.5, 0.8])
+        dry = AudioBuffer(FS, impulse(FS))
+        repeated = render_path(dry, cmap, [(0.0, 1), (0.3, 1), (0.6, 1)])
+        assert np.array_equal(repeated.samples,
+                              render_path(dry, cmap, [(0.0, 1)]).samples)
 
     def test_unbaked_cluster_rejected(self):
         bare = ClusterMap((Cluster(0, 1, 2.0, 2.0, 0.02),), 1)

@@ -6,7 +6,8 @@ import pytest
 from echobake.errors import (InputError, MaterialError, MeshParseError,
                              WatertightError)
 from echobake.scene import (DEFAULT_BAND_EDGES, BandLayout, Material,
-                            analytic_volume_and_area, load_scene, parse_mesh)
+                            analytic_volume_and_area, load_scene, parse_materials,
+                            parse_mesh)
 from echobake.shapes import (box_obj, corridor_obj, corridor_room_analytics,
                              cube_obj, default_materials_json,
                              pillar_room_analytic, pillar_room_obj,
@@ -64,6 +65,23 @@ def test_material_alpha_range():
         Material("m", (-0.1, 0.2, 0.2, 0.2))
     m = Material("m", (0.0, 0.5, 0.99, 0.2))
     assert m.absorption[2] == 0.99
+
+
+@pytest.mark.parametrize("table, named", [
+    ('{"materials": {"brick": ["x", 0.1, 0.1, 0.1]}}', "'brick'"),
+    ('{"materials": {"brick": [0.1, true, 0.1, 0.1]}}', "'brick'"),
+    ('{"materials": {"brick": [0.1, 0.1, null, 0.1]}}', "'brick'"),
+    ('{"materials": {"brick": [0.1, 0.1, 0.1, NaN]}}', "'brick'"),
+    ('{"materials": {"brick": [0.1, 0.1, 0.1, -Infinity]}}', "'brick'"),
+    ('{"materials": {"brick": [0.1, 0.1, 0.1, [0.1]]}}', "'brick'"),
+    ('{"materials": {"brick": 0.1}}', "'brick'"),
+    ('{"band_edges_hz": 5, "materials": {"brick": [0.1]}}', "band_edges_hz"),
+    ('{"band_edges_hz": "0,100", "materials": {"brick": [0.1]}}', "band_edges_hz"),
+    ('{"band_edges_hz": [0, "x"], "materials": {"brick": [0.1]}}', "band_edges_hz"),
+])
+def test_malformed_material_table(table, named):
+    with pytest.raises(MaterialError, match=named):
+        parse_materials(table)
 
 
 def test_band_layout_must_increase():
