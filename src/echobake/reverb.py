@@ -5,11 +5,11 @@ feedback gain is chosen as 10^(-3 * delay / RT60), which makes each comb
 lose exactly 60 dB per RT60 seconds of recirculation, so the bank's tail
 decays at the requested rate regardless of the individual delays.
 
-The filters are evaluated blockwise (blocks no longer than the delay) so
-numpy does the work, while producing bit-identical output to the
-sample-by-sample recurrence; a per-sample gain array slots into the same
-kernels, which is how `render_path` cross-fades between cluster RT60s
-without a separate filter implementation.
+`render_path` streams the signal through the bank in blocks of
+`BLOCK_SAMPLES`: every filter carries its delay line from block to block
+and each block computes its own cross-fade gains, so memory beyond the
+output is bounded by the block length. Within a block each filter runs in
+delay-sized slices, bit-identical to the sample-by-sample recurrence.
 """
 
 from __future__ import annotations
@@ -35,7 +35,9 @@ MIN_COMB_GAIN = 1e-4
 # Tail cutoff: -80 dBFS.
 TAIL_FLOOR = 1e-4
 FADE_S = 0.05
-MAX_RENDER_S = 600.0
+# Longest tail rendered past the end of the dry signal.
+MAX_TAIL_S = 600.0
+BLOCK_SAMPLES = 65_536
 
 _COMB_SCALE = 0.25
 
@@ -50,7 +52,6 @@ class ReverbParams:
     comb_delays: tuple[int, int, int, int]
     comb_gains: tuple[float, float, float, float]
     allpass_delays: tuple[int, int]
-    allpass_gain: float = DEFAULT_ALLPASS_GAIN
     wet_dry_mix: float = 1.0
 
     def __post_init__(self) -> None:
@@ -67,15 +68,8 @@ class ReverbParams:
                     )
         if any(not 0.0 < g < 1.0 for g in self.comb_gains):
             raise InputError("comb gains must lie strictly in (0, 1)")
-        if not 0.0 < self.allpass_gain < 1.0:
-            raise InputError("allpass gain must lie strictly in (0, 1)")
         if not 0.0 <= self.wet_dry_mix <= 1.0:
             raise InputError("wet_dry_mix must lie in [0, 1]")
-
-    def implied_rt60(self) -> float:
-        """Longest 60 dB decay time across the comb bank."""
-        return max(-3.0 * (d / self.sample_rate) / math.log10(g)
-                   for d, g in zip(self.comb_delays, self.comb_gains))
 
 
 def comb_feedback_gain(delay_s: float, rt60_s: float) -> float:
@@ -134,104 +128,65 @@ def params_from_rt60(rt60_s: float, sample_rate: int,
         )
     ap = tuple(_round_half_away(ms * sample_rate / 1000.0)
                for ms in ALLPASS_DELAYS_MS)
-    return ReverbParams(sample_rate, delays, gains, ap,
-                        DEFAULT_ALLPASS_GAIN, wet_dry_mix)
+    return ReverbParams(sample_rate, delays, gains, ap, wet_dry_mix)
 
 
-def _feedback_comb(x: np.ndarray, delay: int, gain) -> np.ndarray:
-    """y[n] = x[n] + g[n] * y[n - delay], evaluated in delay-sized blocks.
-
-    `gain` is a scalar or a per-sample array of x's length. Within one
-    block every needed y[n - delay] predates the block, so the vector
-    statement computes exactly the scalar recurrence.
-    """
-    n = x.size
-    ypad = np.zeros(delay + n, dtype=np.float64)
-    per_sample = np.ndim(gain) > 0
-    for i0 in range(0, n, delay):
-        i1 = min(i0 + delay, n)
-        g = gain[i0:i1] if per_sample else gain
-        ypad[delay + i0:delay + i1] = x[i0:i1] + g * ypad[i0:i1]
-    return ypad[delay:]
+def _feedback_comb(x: np.ndarray, gain: np.ndarray,
+                   line: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """y[n] = x[n] + g[n] * y[n - d] over one block, whose d prior outputs
+    are `line`; returns the output and the next line. Every y[n - d] that
+    a d-sized slice reads predates the slice, so the vector statement is
+    exactly the scalar recurrence."""
+    d, n = line.size, x.size
+    ypad = np.concatenate([line, np.empty(n)])
+    for i0 in range(0, n, d):
+        i1 = min(i0 + d, n)
+        ypad[d + i0:d + i1] = x[i0:i1] + gain[i0:i1] * ypad[i0:i1]
+    return ypad[d:], ypad[n:].copy()
 
 
-def _allpass(x: np.ndarray, delay: int, gain: float) -> np.ndarray:
-    """y[n] = -g * x[n] + x[n - delay] + g * y[n - delay], blockwise."""
-    n = x.size
-    xpad = np.concatenate([np.zeros(delay, dtype=np.float64), x])
-    ypad = np.zeros(delay + n, dtype=np.float64)
-    for i0 in range(0, n, delay):
-        i1 = min(i0 + delay, n)
-        ypad[delay + i0:delay + i1] = (
-            (-gain) * x[i0:i1] + xpad[i0:i1] + gain * ypad[i0:i1]
-        )
-    return ypad[delay:]
+def _allpass(x: np.ndarray, line: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """y[n] = -g * x[n] + x[n - d] + g * y[n - d] over one block; `line`
+    holds the d prior inputs and outputs as rows."""
+    g = DEFAULT_ALLPASS_GAIN
+    d, n = line.shape[1], x.size
+    xpad = np.concatenate([line[0], x])
+    ypad = np.concatenate([line[1], np.empty(n)])
+    for i0 in range(0, n, d):
+        i1 = min(i0 + d, n)
+        ypad[d + i0:d + i1] = (-g) * x[i0:i1] + xpad[i0:i1] + g * ypad[i0:i1]
+    return ypad[d:], np.stack([xpad[n:], ypad[n:]])
 
 
-def _render_wet(x: np.ndarray, params: ReverbParams, comb_gains) -> np.ndarray:
-    acc = np.zeros_like(x)
-    for d, g in zip(params.comb_delays, comb_gains):
-        acc += _feedback_comb(x, d, g)
-    acc *= _COMB_SCALE
-    for d in params.allpass_delays:
-        acc = _allpass(acc, d, params.allpass_gain)
-    return acc
-
-
-def _tail_pad_samples(rt60_s: float, sample_rate: int) -> int:
-    return int(math.ceil(sample_rate * (1.5 * rt60_s + 0.1)))
-
-
-def _render(dry: np.ndarray, params: ReverbParams, rt60_max: float,
-            gains_for_length, mix: float, sample_rate: int) -> np.ndarray:
-    """Shared render loop: pad, filter, extend until the tail clears the
-    floor, cut, and mix. `gains_for_length(n)` supplies the comb gains
-    (scalars or per-sample arrays of length n)."""
-    n_dry = dry.size
-    if n_dry == 0:
-        return dry.copy()
-    pad = _tail_pad_samples(rt60_max, sample_rate)
-    max_len = int(MAX_RENDER_S * sample_rate)
-    # The tail is only considered finished when a full recirculation
-    # period passes below the floor; a single quiet sample between comb
-    # spikes proves nothing.
-    guard = max(params.comb_delays) + sum(params.allpass_delays) + 8
-    while True:
-        total = min(n_dry + pad, max_len)
-        x = np.concatenate([dry, np.zeros(total - n_dry, dtype=np.float64)])
-        wet = _render_wet(x, params, gains_for_length(total))
-        above = np.nonzero(np.abs(wet) >= TAIL_FLOOR)[0]
-        cut = int(above[-1]) + 1 if above.size else 0
-        if total - cut >= guard:
+def _comb_gains(ramps: list, n_fade: int, b0: int, b1: int) -> np.ndarray:
+    """Comb gains for samples [b0, b1), one row per comb. `ramps` lists
+    (start sample, old, new) in schedule order, gains as (4, 1) columns;
+    each moves linearly from old to new over `n_fade` samples, then holds
+    until a later one starts."""
+    g = np.empty((ramps[0][1].shape[0], b1 - b0))
+    first = max(i for i, r in enumerate(ramps) if r[0] <= b0)
+    for s, old, new in ramps[first:]:
+        if s >= b1:
             break
-        if total >= max_len:
-            raise InputError(
-                f"reverb tail exceeds {MAX_RENDER_S:.0f} s; "
-                "check the requested rt60"
-            )
-        pad *= 2
-    n_out = max(n_dry, cut)
-    out = mix * wet[:n_out]
-    out[:n_dry] += (1.0 - mix) * dry
-    return out
+        lo, hi = max(s, b0), min(s + n_fade, b1)
+        if hi > lo:
+            steps = np.arange(lo - s + 1, hi - s + 1, dtype=np.float64)
+            g[:, lo - b0:hi - b0] = old + (new - old) * steps / n_fade
+        g[:, max(lo, hi) - b0:] = new
+    return g
 
 
-def render_reverb(dry: AudioBuffer, params: ReverbParams) -> AudioBuffer:
-    """Run the dry buffer through the reverberator.
-
-    Output is wet_dry_mix of the filtered signal plus the remainder of
-    the dry signal, extended past the input until the wet tail falls
-    below -80 dBFS for good.
-    """
-    if dry.sample_rate != params.sample_rate:
-        raise InputError(
-            f"sample rate mismatch: audio {dry.sample_rate} Hz, "
-            f"params {params.sample_rate} Hz"
-        )
-    out = _render(dry.samples, params, params.implied_rt60(),
-                  lambda n: params.comb_gains, params.wet_dry_mix,
-                  params.sample_rate)
-    return AudioBuffer(dry.sample_rate, out)
+def _tail_bound(comb_lines: list, allpass_lines: list) -> float:
+    """Bound on every later |wet| sample when only zeros follow: a comb
+    only rescales its line by gains below 1, and an allpass adds its line's
+    free response (at most max|x| + g max|y|) to its input filtered by a
+    response whose absolute sum is 1 + 2g."""
+    g = DEFAULT_ALLPASS_GAIN
+    bound = _COMB_SCALE * sum(float(np.abs(line).max()) for line in comb_lines)
+    for line in allpass_lines:
+        bound = ((1.0 + 2.0 * g) * bound + float(np.abs(line[0]).max())
+                 + g * float(np.abs(line[1]).max()))
+    return bound
 
 
 def _cluster_rt60(cmap: ClusterMap, cluster_id: int) -> float:
@@ -279,37 +234,56 @@ def render_path(dry: AudioBuffer, cmap: ClusterMap,
     needs a baked RT60. Rows are checked, then folded by
     :func:`fold_schedule`, so only a change of cluster is a switch. Comb
     gains ramp linearly over `FADE_S` at each switch and hold their final
-    values through the tail, so a single-cluster schedule reproduces
-    `render_reverb` exactly.
+    values through the tail.
+
+    The output mixes `wet_dry_mix` of the wet signal with the rest of the
+    dry one. After the input, zeros are fed until no later wet sample can
+    reach -80 dBFS, and the output ends after the last one that did; a
+    tail longer than `MAX_TAIL_S` raises InputError.
     """
     schedule = fold_schedule(schedule)
     times = [t for t, _ in schedule]
     if times[-1] >= dry.duration_s and len(schedule) > 1:
         raise InputError("schedule extends past the end of the audio")
 
-    fs = dry.sample_rate
-    rt60s = [_cluster_rt60(cmap, cid) for _, cid in schedule]
-    plist = [params_from_rt60(rt, fs, wet_dry_mix) for rt in rt60s]
-    params = plist[0]
+    fs, x_dry = dry.sample_rate, dry.samples
+    plist = [params_from_rt60(_cluster_rt60(cmap, cid), fs, wet_dry_mix)
+             for _, cid in schedule]
     n_fade = max(1, int(round(FADE_S * fs)))
-    switches = [int(round(t * fs)) for t in times]
+    gains = [np.array(p.comb_gains)[:, None] for p in plist]
+    ramps = [(0, gains[0], gains[0])]
+    for t, new in zip(times[1:], gains[1:]):
+        s = int(round(t * fs))
+        old = _comb_gains(ramps, n_fade, max(s - 1, 0), max(s, 1))
+        ramps.append((s, old, new))
 
-    def gains_for_length(n: int) -> list[np.ndarray]:
-        out = []
-        for k in range(len(params.comb_delays)):
-            g = np.full(n, plist[0].comb_gains[k], dtype=np.float64)
-            for s, p in zip(switches[1:], plist[1:]):
-                if s >= n:
-                    break
-                old = float(g[s - 1]) if s > 0 else float(g[0])
-                new = p.comb_gains[k]
-                ramp_end = min(s + n_fade, n)
-                steps = np.arange(1, ramp_end - s + 1, dtype=np.float64)
-                g[s:ramp_end] = old + (new - old) * steps / n_fade
-                g[ramp_end:] = new
-            out.append(g)
-        return out
-
-    out = _render(dry.samples, params, max(rt60s), gains_for_length,
-                  wet_dry_mix, fs)
-    return AudioBuffer(fs, out)
+    n_dry = x_dry.size
+    limit = n_dry + int(MAX_TAIL_S * fs)
+    comb_lines = [np.zeros(d) for d in plist[0].comb_delays]
+    allpass_lines = [np.zeros((2, d)) for d in plist[0].allpass_delays]
+    blocks = [x_dry[:0]]  # so an empty input renders empty
+    b0 = cut = 0
+    while b0 < n_dry or _tail_bound(comb_lines, allpass_lines) >= TAIL_FLOOR:
+        if b0 >= limit:
+            raise InputError(
+                f"reverb tail exceeds {MAX_TAIL_S:.0f} s past the input; "
+                "check the requested rt60"
+            )
+        b1 = min(b0 + BLOCK_SAMPLES, limit)
+        part = x_dry[b0:b1]
+        x = np.pad(part, (0, b1 - b0 - part.size))
+        wet = np.zeros(b1 - b0)
+        for k, g in enumerate(_comb_gains(ramps, n_fade, b0, b1)):
+            y, comb_lines[k] = _feedback_comb(x, g, comb_lines[k])
+            wet += y
+        wet *= _COMB_SCALE
+        for k, line in enumerate(allpass_lines):
+            wet, allpass_lines[k] = _allpass(wet, line)
+        above = np.flatnonzero(np.abs(wet) >= TAIL_FLOOR)
+        if above.size:
+            cut = b0 + int(above[-1]) + 1
+        wet *= wet_dry_mix
+        wet[:part.size] += (1.0 - wet_dry_mix) * part
+        blocks.append(wet)
+        b0 = b1
+    return AudioBuffer(fs, np.concatenate(blocks)[:max(n_dry, cut)])

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -152,9 +153,12 @@ def parse_mesh(text: str) -> tuple[np.ndarray, list[tuple[int, int, int]], list[
             if len(fields) != 3:
                 raise MeshParseError(f"line {line_no}: vertex needs exactly 3 coordinates")
             try:
-                vertices.append((float(fields[0]), float(fields[1]), float(fields[2])))
+                vertex = (float(fields[0]), float(fields[1]), float(fields[2]))
             except ValueError:
                 raise MeshParseError(f"line {line_no}: bad vertex coordinate") from None
+            if not all(math.isfinite(c) for c in vertex):
+                raise MeshParseError(f"line {line_no}: vertex coordinates must be finite")
+            vertices.append(vertex)
         elif keyword == "f":
             if len(fields) != 3:
                 raise MeshParseError(

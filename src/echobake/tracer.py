@@ -131,6 +131,8 @@ def sphere_directions(seed: int, n: int) -> np.ndarray:
 
 
 def _check_source(scene: Scene, source: np.ndarray) -> None:
+    if not np.all(np.isfinite(source)):
+        raise InputError(f"source {tuple(float(v) for v in source)} is not finite")
     lo, hi = scene.bounds
     if np.any(source < lo - _BOUNDS_PAD) or np.any(source > hi + _BOUNDS_PAD):
         src = tuple(float(v) for v in source)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from echobake.perception import Cluster, ClusterMap
 from echobake.scene import load_scene
 from echobake.shapes import (corridor_obj, corridor_path, cube_obj,
                              default_materials_json, pillar_room_obj,
@@ -35,6 +36,15 @@ def corridor_scene(uniform_materials):
 @pytest.fixture(scope="session")
 def corridor_points():
     return corridor_path()
+
+
+def baked_map(rt60s):
+    """Single-sample-per-cluster map with baked band RT60s."""
+    clusters = tuple(
+        Cluster(i, i + 1, 2.0, 2.0, 0.02, rt60_bands=(rt,) * 4,
+                r_squared=(1.0,) * 4, lr_position=(0.0, 0.0, 0.0))
+        for i, rt in enumerate(rt60s))
+    return ClusterMap(clusters, len(rt60s))
 
 
 def random_rays(scene, n, seed):

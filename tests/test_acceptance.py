@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_rays
+from conftest import baked_map, random_rays
 from scalar_oracle import mismatches, scene_closest_hit
 
 from echobake.acoustics import (edc_from_impulse_response, mfp_analytic,
@@ -21,7 +21,7 @@ from echobake.perception import (JndConstants, detection_probability_er,
 from echobake.pipeline import (BakeConfig, _aperture_distance, bake,
                                corridor_fixture, run_corridor_validation,
                                run_mfp_validation)
-from echobake.reverb import params_from_rt60, render_reverb
+from echobake.reverb import render_path
 from echobake.scene import load_scene
 from echobake.shapes import cube_obj, default_materials_json
 from echobake.tracer import EnergyDecayCurve, TraceConfig, trace_energy_decay
@@ -108,7 +108,7 @@ def test_criterion_6_filter_round_trip():
     dry = np.zeros(1000)
     dry[0] = 1.0
     for rt in (0.5, 1.0, 2.0):
-        out = render_reverb(AudioBuffer(fs, dry), params_from_rt60(rt, fs))
+        out = render_path(AudioBuffer(fs, dry), baked_map([rt]), [(0.0, 0)])
         est = rt60_from_decay(edc_from_impulse_response(out.samples, fs))
         assert abs(est.bands[0] - rt) / rt <= 0.10, (rt, est.bands[0])
 

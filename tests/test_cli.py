@@ -89,6 +89,15 @@ class TestBake:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_finite_obj_vertex(self, workdir, capsys):
+        bad = workdir / "nan.obj"
+        bad.write_text(cube_obj(5.0).replace("v 0.0 0.0 0.0", "v nan 0.0 0.0", 1))
+        code = main(["bake", "--scene", str(bad),
+                     "--path", str(workdir / "path.csv"),
+                     "--out", str(workdir / "x.json")])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
 
 class TestLookup:
     def test_by_index(self, baked, capsys):

@@ -1,17 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import baked_map
+
+from echobake import reverb
 from echobake.audio_io import AudioBuffer
 from echobake.errors import InputError
 from echobake.perception import Cluster, ClusterMap
 from echobake.reverb import (ALLPASS_DELAYS_MS, COMB_DELAYS_MS,
-                             DEFAULT_ALLPASS_GAIN, MIN_COMB_GAIN,
+                             DEFAULT_ALLPASS_GAIN, FADE_S, MIN_COMB_GAIN,
                              SUPPORTED_RATES, TAIL_FLOOR, ReverbParams,
                              _allpass, _feedback_comb, comb_feedback_gain,
                              coprime_comb_delays, fold_schedule, params_from_rt60,
-                             render_path, render_reverb)
+                             render_path)
 
 FS = 44100
 
@@ -35,19 +39,70 @@ def allpass_reference(x, delay, gain):
     return y
 
 
+def comb(x, delay, gain):
+    """One pass of the block kernel from an empty delay line."""
+    gains = np.broadcast_to(np.asarray(gain, dtype=np.float64), x.shape)
+    return _feedback_comb(x, gains, np.zeros(delay))[0]
+
+
+def allpass(x, delay):
+    return _allpass(x, np.zeros((2, delay)))[0]
+
+
 def impulse(n=2048):
     x = np.zeros(n)
     x[0] = 1.0
     return x
 
 
-def baked_map(rt60s):
-    """Single-sample-per-cluster map with baked band RT60s."""
-    clusters = tuple(
-        Cluster(i, i + 1, 2.0, 2.0, 0.02, rt60_bands=(rt,) * 4,
-                r_squared=(1.0,) * 4, lr_position=(0.0, 0.0, 0.0))
-        for i, rt in enumerate(rt60s))
-    return ClusterMap(clusters, len(rt60s))
+def render(dry, rt60, mix=1.0):
+    """The plain reverberator: one cluster, no switch."""
+    return render_path(AudioBuffer(FS, dry), baked_map([rt60]), [(0.0, 0)],
+                       wet_dry_mix=mix).samples
+
+
+def broadband(rt60):
+    """The broadband RT60 render_path takes from baked_map([rt60])."""
+    return sum((rt60,) * 4) / 4
+
+
+def reference_render(dry, fs, cmap, schedule, mix):
+    """Sample-by-sample Schroeder recurrence with linear gain crossfades,
+    run over the dry signal plus three times the longest RT60 of silence
+    (180 dB of comb decay), then cut after the last wet sample at or above
+    TAIL_FLOOR. `schedule` must already be folded."""
+    rt60s = [sum(cmap.clusters[c].rt60_bands) / 4 for _, c in schedule]
+    n_dry = len(dry)
+    n = n_dry + int(3.0 * max(rt60s) * fs)
+    x = list(dry) + [0.0] * (n - n_dry)
+    n_fade = int(round(FADE_S * fs))
+    switches = [int(round(t * fs)) for t, _ in schedule]
+    p0 = params_from_rt60(rt60s[0], fs)
+    acc = [0.0] * n
+    for k, d in enumerate(p0.comb_delays):
+        targets = [params_from_rt60(rt, fs).comb_gains[k] for rt in rt60s]
+        g = [targets[0]] * n
+        for s, new in zip(switches[1:], targets[1:]):
+            old = g[s - 1] if s > 0 else g[0]
+            for j in range(1, n_fade + 1):
+                g[s + j - 1] = old + (new - old) * j / n_fade
+            g[s + n_fade:] = [new] * (n - s - n_fade)
+        y = [0.0] * (n + d)
+        for i in range(n):
+            y[i + d] = x[i] + g[i] * y[i]
+        for i in range(n):
+            acc[i] += y[i + d]
+    wet = [a * 0.25 for a in acc]
+    for d in p0.allpass_delays:
+        xp = [0.0] * d + wet
+        y = [0.0] * (n + d)
+        for i in range(n):
+            y[i + d] = (-DEFAULT_ALLPASS_GAIN * xp[i + d] + xp[i]
+                        + DEFAULT_ALLPASS_GAIN * y[i])
+        wet = y[d:]
+    above = [i for i, w in enumerate(wet) if abs(w) >= TAIL_FLOOR]
+    n_out = max(n_dry, above[-1] + 1 if above else 0)
+    return np.array([mix * wet[i] + (1.0 - mix) * x[i] for i in range(n_out)])
 
 
 class TestCombGain:
@@ -94,7 +149,9 @@ class TestParamsFromRt60:
     def test_implied_rt60_round_trip(self):
         for rt in (0.3, 0.5, 1.0, 2.0, 5.0):
             p = params_from_rt60(rt, FS)
-            assert p.implied_rt60() == pytest.approx(rt, rel=1e-12)
+            implied = max(-3.0 * (d / FS) / math.log10(g)
+                          for d, g in zip(p.comb_delays, p.comb_gains))
+            assert implied == pytest.approx(rt, rel=1e-12)
 
     def test_allpass_delays(self):
         assert params_from_rt60(1.0, 44100).allpass_delays == (221, 75)
@@ -132,9 +189,7 @@ class TestReverbParamsValidation:
         return ReverbParams(**base)
 
     def test_good_params_accept(self):
-        p = self.good()
-        assert p.allpass_gain == DEFAULT_ALLPASS_GAIN
-        assert p.wet_dry_mix == 1.0
+        assert self.good().wet_dry_mix == 1.0
 
     def test_shared_factor_rejected(self):
         with pytest.raises(InputError, match="share a factor"):
@@ -145,8 +200,6 @@ class TestReverbParamsValidation:
             self.good(comb_gains=(0.8, 1.0, 0.8, 0.8))
         with pytest.raises(InputError):
             self.good(comb_gains=(0.8, 0.0, 0.8, 0.8))
-        with pytest.raises(InputError):
-            self.good(allpass_gain=1.0)
 
     def test_mix_bounds(self):
         with pytest.raises(InputError):
@@ -163,129 +216,132 @@ class TestFilterKernels:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(500)
         for delay in (1, 7, 64, 499):
-            assert np.array_equal(_feedback_comb(x, delay, 0.8),
+            assert np.array_equal(comb(x, delay, 0.8),
                                   comb_reference(x, delay, 0.8))
 
     def test_comb_delay_longer_than_signal(self):
         x = np.random.default_rng(1).standard_normal(50)
-        assert np.array_equal(_feedback_comb(x, 200, 0.9),
-                              comb_reference(x, 200, 0.9))
+        assert np.array_equal(comb(x, 200, 0.9), comb_reference(x, 200, 0.9))
 
     def test_comb_gain_array_matches_recurrence(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(400)
         g = np.linspace(0.5, 0.9, 400)
-        assert np.array_equal(_feedback_comb(x, 37, g),
-                              comb_reference(x, 37, g))
+        assert np.array_equal(comb(x, 37, g), comb_reference(x, 37, g))
 
     def test_comb_constant_array_equals_scalar(self):
         x = np.random.default_rng(3).standard_normal(300)
-        g = np.full(300, 0.73)
-        assert np.array_equal(_feedback_comb(x, 41, g),
-                              _feedback_comb(x, 41, 0.73))
+        assert np.array_equal(comb(x, 41, np.full(300, 0.73)),
+                              comb_reference(x, 41, 0.73))
 
     def test_allpass_matches_recurrence(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal(500)
         for delay in (1, 75, 221, 499):
-            assert np.array_equal(_allpass(x, delay, 0.7),
-                                  allpass_reference(x, delay, 0.7))
+            assert np.array_equal(allpass(x, delay),
+                                  allpass_reference(x, delay, DEFAULT_ALLPASS_GAIN))
 
     def test_allpass_preserves_energy_of_impulse(self):
         # An allpass has unit magnitude response, so an impulse comes
         # out with total energy 1 once the tail has rung out.
-        y = _allpass(impulse(40000), 75, 0.7)
+        y = allpass(impulse(40000), 75)
         assert float(np.sum(y * y)) == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("delay", [1, 37, 75, 221, 1000])
+    def test_blocks_carry_the_delay_lines(self, delay):
+        # Cuts both shorter and longer than the delay, and a single-sample
+        # block, must give exactly the one-pass output.
+        rng = np.random.default_rng(delay)
+        x = rng.standard_normal(3000)
+        g = np.linspace(0.95, 0.5, 3000)
+        cuts = [0, 1, 2, 30, 31, 400, 1777, 1800, 3000]
+        comb_line, ap_line = np.zeros(delay), np.zeros((2, delay))
+        comb_out, ap_out = [], []
+        for b0, b1 in zip(cuts, cuts[1:]):
+            y, comb_line = _feedback_comb(x[b0:b1], g[b0:b1], comb_line)
+            comb_out.append(y)
+            y, ap_line = _allpass(x[b0:b1], ap_line)
+            ap_out.append(y)
+        assert np.array_equal(np.concatenate(comb_out), comb(x, delay, g))
+        assert np.array_equal(np.concatenate(ap_out), allpass(x, delay))
+        assert np.array_equal(comb_line, comb(x, delay, g)[-delay:])
 
 
 class TestRenderReverb:
+    """The plain reverberator: render_path on one cluster."""
+
     def test_matches_reference_chain_prefix(self):
-        p = params_from_rt60(0.4, FS)
+        p = params_from_rt60(broadband(0.4), FS)
         n = 4000
-        dry = np.zeros(n)
-        dry[0] = 1.0
-        out = render_reverb(AudioBuffer(FS, dry), p)
-        x = np.zeros(out.samples.size)
+        out = render(impulse(n), 0.4)
+        x = np.zeros(out.size)
         x[0] = 1.0
         acc = np.zeros_like(x)
         for d, g in zip(p.comb_delays, p.comb_gains):
             acc += comb_reference(x, d, g)
         acc *= 0.25
         for d in p.allpass_delays:
-            acc = allpass_reference(acc, d, p.allpass_gain)
-        assert np.array_equal(out.samples, acc[:out.samples.size])
+            acc = allpass_reference(acc, d, DEFAULT_ALLPASS_GAIN)
+        assert np.array_equal(out, acc[:out.size])
 
     def test_silence_in_silence_out(self):
-        p = params_from_rt60(1.0, FS)
-        out = render_reverb(AudioBuffer(FS, np.zeros(1000)), p)
-        assert out.samples.size == 1000
-        assert not out.samples.any()
+        out = render(np.zeros(1000), 1.0)
+        assert out.size == 1000
+        assert not out.any()
 
     def test_tail_extends_past_input_and_ends_at_floor(self):
-        p = params_from_rt60(0.5, FS)
-        out = render_reverb(AudioBuffer(FS, impulse(100)), p)
-        assert out.samples.size > 100
-        assert abs(out.samples[-1]) >= TAIL_FLOOR
+        out = render(impulse(100), 0.5)
+        assert out.size > 100
+        assert abs(out[-1]) >= TAIL_FLOOR
         # Rough span check: a 0.5 s RT60 from unit impulse reaches
         # -80 dBFS somewhere past two thirds of a second.
-        assert 0.4 < out.duration_s < 1.5
+        assert 0.4 < out.size / FS < 1.5
 
     def test_scaling_by_half_is_exact(self):
-        p = params_from_rt60(0.5, FS)
-        full = render_reverb(AudioBuffer(FS, impulse()), p)
-        half = render_reverb(AudioBuffer(FS, 0.5 * impulse()), p)
-        n = min(full.samples.size, half.samples.size)
-        assert np.array_equal(half.samples[:n], 0.5 * full.samples[:n])
+        full = render(impulse(), 0.5)
+        half = render(0.5 * impulse(), 0.5)
+        n = min(full.size, half.size)
+        assert np.array_equal(half[:n], 0.5 * full[:n])
 
     def test_additivity(self):
-        p = params_from_rt60(0.4, FS)
         rng = np.random.default_rng(5)
         a = rng.standard_normal(3000) * 0.1
         b = rng.standard_normal(3000) * 0.1
-        ya = render_reverb(AudioBuffer(FS, a), p).samples
-        yb = render_reverb(AudioBuffer(FS, b), p).samples
-        yab = render_reverb(AudioBuffer(FS, a + b), p).samples
+        ya, yb, yab = render(a, 0.4), render(b, 0.4), render(a + b, 0.4)
         # Tail cuts differ per render, so compare the common prefix.
         n = min(ya.size, yb.size, yab.size)
         assert ya[:n] + yb[:n] == pytest.approx(yab[:n], abs=1e-9)
 
     def test_stable_decay(self):
-        p = params_from_rt60(0.5, FS)
-        out = render_reverb(AudioBuffer(FS, impulse(10)), p).samples
+        out = render(impulse(10), 0.5)
         early = np.abs(out[: FS // 4]).max()
         late = np.abs(out[FS // 2 : ]).max() if out.size > FS // 2 else 0.0
         assert late < early
 
     def test_dry_mix_passthrough(self):
-        p = params_from_rt60(0.5, FS, wet_dry_mix=0.0)
         dry = np.random.default_rng(6).standard_normal(500) * 0.1
-        out = render_reverb(AudioBuffer(FS, dry), p)
-        assert out.samples[:500] == pytest.approx(dry, abs=1e-12)
-
-    def test_sample_rate_mismatch_rejected(self):
-        p = params_from_rt60(0.5, 48000)
-        with pytest.raises(InputError, match="mismatch"):
-            render_reverb(AudioBuffer(FS, impulse()), p)
+        out = render(dry, 0.5, mix=0.0)
+        assert out[:500] == pytest.approx(dry, abs=1e-12)
 
     def test_empty_input(self):
-        p = params_from_rt60(0.5, FS)
-        assert render_reverb(AudioBuffer(FS, np.array([])), p).samples.size == 0
+        assert render(np.array([]), 0.5).size == 0
 
 
 class TestRenderPath:
     def test_constant_schedule_equals_plain_render(self):
         cmap = baked_map([0.7])
-        dry = AudioBuffer(FS, np.random.default_rng(7).standard_normal(2000) * 0.1)
-        via_path = render_path(dry, cmap, [(0.0, 0)])
-        plain = render_reverb(dry, params_from_rt60(0.7, FS))
-        assert np.array_equal(via_path.samples, plain.samples)
+        dry = np.random.default_rng(7).standard_normal(2000) * 0.1
+        via_path = render_path(AudioBuffer(FS, dry), cmap, [(0.0, 0)])
+        plain = reference_render(dry, FS, cmap, [(0.0, 0)], 1.0)
+        assert np.array_equal(via_path.samples, plain)
 
     def test_constant_schedule_respects_mix(self):
         cmap = baked_map([0.7])
-        dry = AudioBuffer(FS, np.random.default_rng(8).standard_normal(1000) * 0.1)
-        via_path = render_path(dry, cmap, [(0.0, 0)], wet_dry_mix=0.3)
-        plain = render_reverb(dry, params_from_rt60(0.7, FS, wet_dry_mix=0.3))
-        assert np.array_equal(via_path.samples, plain.samples)
+        dry = np.random.default_rng(8).standard_normal(1000) * 0.1
+        via_path = render_path(AudioBuffer(FS, dry), cmap, [(0.0, 0)],
+                               wet_dry_mix=0.3)
+        plain = reference_render(dry, FS, cmap, [(0.0, 0)], 0.3)
+        assert np.array_equal(via_path.samples, plain)
 
     def test_switch_between_equal_clusters_is_inert(self):
         # Ramping a gain onto its own value must not perturb a single
@@ -356,3 +412,75 @@ class TestRenderPath:
         bare = ClusterMap((Cluster(0, 1, 2.0, 2.0, 0.02),), 1)
         with pytest.raises(InputError, match="no rt60"):
             render_path(AudioBuffer(FS, impulse(100)), bare, [(0.0, 0)])
+
+
+# Schedules with three or more switches, fades that overlap (switches less
+# than FADE_S apart) and two switch times that round to one sample; the
+# 0.2-sample switch also rounds to sample 0.
+REFERENCE_CASES = [
+    (FS, [0.3, 0.6, 0.45], 0.25, 1.0,
+     [(0.0, 0), (0.05, 1), (0.07, 2), (0.12, 1), (0.12 + 0.3 / FS, 0)]),
+    (48000, [0.5, 0.25, 0.35, 0.6], 0.3, 0.7,
+     [(0.0, 3), (0.2 / 48000, 1), (0.1, 2), (0.11, 0), (0.2, 1),
+      (0.2 + 0.2 / 48000, 3)]),
+    (FS, [0.2, 0.55, 0.4], 0.2, 0.0,
+     [(0.0, 1), (0.02, 0), (0.04, 2), (0.06, 1), (0.19, 2)]),
+]
+
+
+class TestStreamedRender:
+    @pytest.mark.parametrize("case", range(len(REFERENCE_CASES)))
+    def test_matches_reference_at_two_block_sizes(self, case, monkeypatch):
+        fs, rt60s, seconds, mix, schedule = REFERENCE_CASES[case]
+        cmap = baked_map(rt60s)
+        dry = np.random.default_rng(case).standard_normal(int(seconds * fs)) * 0.3
+        dry[::997] = 1.0
+        ref = reference_render(dry, fs, cmap, schedule, mix)
+        buf = AudioBuffer(fs, dry.copy())
+        outs = [render_path(buf, cmap, schedule, mix).samples]
+        # Blocks shorter than the shortest allpass delay.
+        monkeypatch.setattr(reverb, "BLOCK_SAMPLES", 50)
+        outs.append(render_path(buf, cmap, schedule, mix).samples)
+        assert ref.size > dry.size
+        for out in outs:
+            assert out.size == ref.size
+            assert np.array_equal(out, ref)
+        assert np.array_equal(buf.samples, dry)
+
+    def test_tail_that_rises_again_is_kept(self, monkeypatch):
+        # The four combs' tails of a 70 Hz tone cancel below the floor for
+        # 2,607 samples, longer than one recirculation period, and then
+        # rise above it once more at sample 88,594.
+        dry = np.sin(np.arange(FS) * 0.01) * 0.3
+        cmap = baked_map([0.9])
+        ref = reference_render(dry, FS, cmap, [(0.0, 0)], 1.0)
+        assert ref.size == 88595
+        for block in (reverb.BLOCK_SAMPLES, 50):
+            monkeypatch.setattr(reverb, "BLOCK_SAMPLES", block)
+            out = render_path(AudioBuffer(FS, dry), cmap, [(0.0, 0)]).samples
+            assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("seconds", [10, 60])
+    def test_peak_memory_is_bounded_by_the_output(self, seconds):
+        fs = 48000
+        dry = AudioBuffer(fs, np.random.default_rng(9).standard_normal(
+            seconds * fs) * 0.1)
+        cmap = baked_map([1.0, 1.5])
+        tracemalloc.start()
+        try:
+            out = render_path(dry, cmap, [(0.0, 0), (seconds / 2, 1)], 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * out.samples.nbytes
+
+    def test_input_longer_than_tail_cap_renders(self, monkeypatch):
+        dry = np.random.default_rng(10).standard_normal(2 * FS) * 0.1
+        full = render(dry, 0.3)
+        monkeypatch.setattr(reverb, "MAX_TAIL_S", 1.0)
+        assert np.array_equal(render(dry, 0.3), full)
+
+    def test_tail_longer_than_cap_rejected(self, monkeypatch):
+        monkeypatch.setattr(reverb, "MAX_TAIL_S", 0.2)
+        with pytest.raises(InputError, match="tail exceeds"):
+            render(impulse(100), 1.0)

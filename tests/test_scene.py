@@ -47,6 +47,15 @@ def test_parse_rejects_unknown_directive():
         parse_mesh("curve 1 2 3\n")
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_parse_rejects_non_finite_vertex(bad):
+    lines = cube_obj(5.0).splitlines()
+    line_no = next(i for i, line in enumerate(lines, 1) if line.startswith("v "))
+    lines[line_no - 1] = f"v {bad} 0.0 0.0"
+    with pytest.raises(MeshParseError, match=f"line {line_no}: .*finite"):
+        parse_mesh("\n".join(lines))
+
+
 def test_parse_rejects_out_of_range_index():
     with pytest.raises(MeshParseError):
         parse_mesh("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 4\n")

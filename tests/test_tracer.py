@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from echobake.errors import InputError, NoCollisionsError
-from echobake.pipeline import BakeConfig, corridor_fixture
+from echobake.pipeline import BakeConfig, bake, corridor_fixture
 from echobake.scene import load_scene
 from echobake.shapes import cube_obj, default_materials_json
 from echobake.tracer import (PathTraceResult, TraceConfig, _bounce,
@@ -171,6 +171,14 @@ class TestTraceSegments:
         with pytest.raises(InputError, match="outside"):
             trace_segments(cube_scene, (99.0, 2.5, 2.5),
                            TraceConfig(n_rays=10, n_bounces=2))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_source_rejected(self, cube_scene, bad):
+        with pytest.raises(InputError, match="not finite"):
+            trace_segments(cube_scene, (2.5, 2.5, bad),
+                           TraceConfig(n_rays=10, n_bounces=2))
+        with pytest.raises(InputError, match="^point 1: .*not finite"):
+            bake(cube_scene, [[2.5, 2.5, 2.5], [2.5, 2.5, bad]])
 
     def test_config_validation(self):
         with pytest.raises(InputError):
