@@ -90,11 +90,10 @@ def rt60_from_mfp(mean_free_path: float, absorption: float) -> float:
 
 @dataclass(frozen=True)
 class Rt60Estimate:
-    """Per-band RT60 in seconds plus the fit quality when regressed."""
+    """Per-band RT60 in seconds and the r^2 of each band's decay fit."""
 
     bands: tuple[float, ...]
-    method: str
-    r_squared: tuple[float, ...] | None = None
+    r_squared: tuple[float, ...]
 
     @property
     def broadband(self) -> float:
@@ -153,7 +152,7 @@ def rt60_from_decay(curve: EnergyDecayCurve) -> Rt60Estimate:
         rt, r2 = _fit_band(times, edc)
         rts.append(rt)
         rsq.append(r2)
-    return Rt60Estimate(tuple(rts), "decay_regression", tuple(rsq))
+    return Rt60Estimate(tuple(rts), tuple(rsq))
 
 
 def edc_from_impulse_response(samples: np.ndarray, sample_rate: int,

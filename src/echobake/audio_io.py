@@ -57,7 +57,11 @@ def wav_write(buf: AudioBuffer) -> bytes:
         warnings.warn(f"clipping audio: peak {peak:.3f} exceeds full scale",
                       stacklevel=2)
         x = np.clip(x, -1.0, 1.0)
-    ints = np.round(x * _PCM_SCALE).astype("<i2")
+    # Scale and round in one float buffer, freed before the bytes are
+    # built, so a long signal needs one whole-signal temporary here, not two.
+    scaled = x * _PCM_SCALE
+    ints = np.round(scaled, out=scaled).astype("<i2")
+    del scaled
     bio = io.BytesIO()
     with wave.open(bio, "wb") as w:
         w.setnchannels(1)
@@ -81,5 +85,8 @@ def wav_read(data: bytes) -> AudioBuffer:
         raise InputError(f"only mono WAV is supported, got {channels} channels")
     if width != 2:
         raise InputError(f"only 16-bit PCM is supported, got {8 * width}-bit")
+    if len(frames) % 2:
+        raise InputError(f"WAV sample data is {len(frames)} bytes, not a whole "
+                         "number of 16-bit samples; the file may be truncated")
     samples = np.frombuffer(frames, dtype="<i2").astype(np.float64) / _PCM_SCALE
     return AudioBuffer(rate, samples)

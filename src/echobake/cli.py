@@ -126,8 +126,8 @@ def _cmd_render(args) -> int:
 
 def _cmd_mfp(args) -> int:
     scene = _load_scene_args(args)
-    result = trace_segments(scene, _parse_point(args.source),
-                            TraceConfig(args.rays, args.bounces, args.seed))
+    [result] = trace_segments(scene, [_parse_point(args.source)],
+                              TraceConfig(args.rays, args.bounces, args.seed))
     est = mfp_from_trace(result)
     print(f"traced mean free path: {est.mean_free_path:.4f} m "
           f"({est.n_segments} segments, {est.n_escaped} rays escaped)")
@@ -153,9 +153,10 @@ def _cmd_rt60(args) -> int:
         bands = [rt60_sabine(volume, area, float(a)) for a in alphas]
         label = "sabine"
     elif args.mode == "eyring":
-        est = mfp_from_trace(trace_segments(
-            scene, _parse_point(args.source),
-            TraceConfig(args.rays, args.bounces, args.seed)))
+        [result] = trace_segments(
+            scene, [_parse_point(args.source)],
+            TraceConfig(args.rays, args.bounces, args.seed))
+        est = mfp_from_trace(result)
         bands = [rt60_from_mfp(est.mean_free_path, float(a)) for a in alphas]
         label = f"eyring (traced mu {est.mean_free_path:.3f} m)"
     else:
@@ -192,7 +193,7 @@ def _cmd_validate(args) -> int:
         for line in report.checks:
             print(line)
         stats = report.stats
-        print(f"high-order traces: {stats.lr_traces_run} for "
+        print(f"high-order traces: {stats.n_clusters} for "
               f"{stats.n_points} points ({stats.lr_calls_saved} saved)")
         if args.csv:
             text = cluster_csv_text(list(report.bakefile.samples),

@@ -135,9 +135,6 @@ class Cluster:
     def size(self) -> int:
         return self.stop - self.start
 
-    def indices(self) -> range:
-        return range(self.start, self.stop)
-
 
 @dataclass(frozen=True)
 class ClusterMap:

@@ -14,7 +14,6 @@ import json
 import math
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
@@ -41,13 +40,20 @@ MU_FLATNESS = 0.015
 RT60_TOLERANCE = 0.05
 APERTURE_RADIUS_M = 0.5
 
+# Path points are traced together in ER ray sets of at most this many rays
+# (the bundled corridor's 60 points at 500 rays fit in one), so the ER
+# stage's memory is set by this bound, not by the path's length.
+ER_GROUP_RAYS = 2 ** 15
+
 
 @dataclass(frozen=True)
 class BakeConfig:
     """Trace sizes and clustering choices for one bake.
 
-    `threads` only controls execution; it is deliberately absent from the
-    persisted file because it cannot change any output value.
+    `threads` is validated but changes nothing: the bake runs on the
+    calling thread. It is kept because the benchmark harness builds
+    ``BakeConfig(seed=..., threads=...)``, and it is absent from the
+    persisted file.
     """
 
     seed: int = 0
@@ -81,7 +87,6 @@ class BakeStats:
     n_clusters: int
     t_er_ms: float
     t_lr_ms: float
-    lr_traces_run: int
 
     @property
     def lr_calls_saved(self) -> int:
@@ -172,8 +177,7 @@ class BakeFile:
 
     def rt60_of_cluster(self, cluster_id: int) -> Rt60Estimate:
         c = self.cluster_map.clusters[cluster_id]
-        return Rt60Estimate(tuple(c.rt60_bands), "decay_regression",
-                            tuple(c.r_squared))
+        return Rt60Estimate(tuple(c.rt60_bands), tuple(c.r_squared))
 
     @classmethod
     def from_json(cls, data: bytes | str) -> "BakeFile":
@@ -212,48 +216,39 @@ def _prefixed(exc: EchobakeError, prefix: str) -> EchobakeError:
     return exc.__class__(f"{prefix}: {exc}")
 
 
-class _Counter:
-    """Thread-safe call counter used to audit LR trace economy."""
-
-    def __init__(self) -> None:
-        import threading
-        self._lock = threading.Lock()
-        self.count = 0
-
-    def bump(self) -> None:
-        with self._lock:
-            self.count += 1
+def _mean_free_paths(scene: Scene, pts: np.ndarray,
+                     config: BakeConfig) -> list[float]:
+    """Each point's low-order mean free path, from ray sets of at most
+    `ER_GROUP_RAYS` rays, each reduced to its points' values before the
+    next is traced."""
+    er_cfg = config.er_trace_config()
+    step = max(1, ER_GROUP_RAYS // er_cfg.n_rays)
+    mus: list[float] = []
+    for a in range(0, pts.shape[0], step):
+        mus += [mfp_from_trace(r).mean_free_path
+                for r in trace_segments(scene, pts[a:a + step], er_cfg,
+                                        first_index=a)]
+    return mus
 
 
 def bake(scene: Scene, positions,
          config: BakeConfig = BakeConfig()) -> tuple[BakeFile, BakeStats]:
     """Precompute clustered late-reverb data along a listener path.
 
-    Every point gets one low-order trace; every cluster gets exactly one
-    high-order trace (asserted by an instrumented counter). All points
-    share one trace configuration, so neighbouring points see identical
-    ray directions and their mean free paths differ only through
-    geometry, not sampling noise.
+    Every point gets one low-order trace, all of them in one ray set per
+    `ER_GROUP_RAYS` rays; then every cluster gets exactly one high-order
+    trace, in turn. All points share one trace configuration, so
+    neighbouring points see identical ray directions and their mean free
+    paths differ only through geometry, not sampling noise.
     """
     pts = np.asarray(positions, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
         raise InputError("positions must be a non-empty (n, 3) array")
     n = pts.shape[0]
-    er_cfg = config.er_trace_config()
-    lr_cfg = config.lr_trace_config()
 
-    def er_worker(i: int) -> tuple[float, float]:
-        t0 = time.perf_counter()
-        try:
-            mu = mfp_from_trace(trace_segments(scene, pts[i], er_cfg)).mean_free_path
-        except EchobakeError as exc:
-            raise _prefixed(exc, f"point {i}") from exc
-        return mu, (time.perf_counter() - t0) * 1000.0
-
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        er_results = list(pool.map(er_worker, range(n)))
-    mus = [r[0] for r in er_results]
-    t_er_ms = sum(r[1] for r in er_results) / n
+    t0 = time.perf_counter()
+    mus = _mean_free_paths(scene, pts, config)
+    t_er_ms = (time.perf_counter() - t0) * 1000.0 / n
 
     samples = tuple(
         PathSample(i, (float(pts[i, 0]), float(pts[i, 1]), float(pts[i, 2])),
@@ -262,38 +257,26 @@ def bake(scene: Scene, positions,
     )
     cmap = cluster_path(samples, DEFAULT_JND, mode=config.jnd_mode)
 
-    counter = _Counter()
-
-    def lr_worker(ci: int) -> tuple[Cluster, float]:
-        c = cmap.clusters[ci]
+    lr_cfg = config.lr_trace_config()
+    clusters = []
+    t0 = time.perf_counter()
+    for ci, c in enumerate(cmap.clusters):
         src = pts[c.start]
-        t0 = time.perf_counter()
-        counter.bump()
         try:
             est = rt60_from_decay(trace_energy_decay(scene, src, lr_cfg))
         except EchobakeError as exc:
             raise _prefixed(
                 exc, f"cluster {ci} (source point {c.start})") from exc
-        enriched = dataclasses.replace(
+        clusters.append(dataclasses.replace(
             c, rt60_bands=tuple(est.bands), r_squared=tuple(est.r_squared),
-            lr_position=(float(src[0]), float(src[1]), float(src[2])))
-        return enriched, (time.perf_counter() - t0) * 1000.0
-
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        lr_results = list(pool.map(lr_worker, range(cmap.n_clusters)))
-    if counter.count != cmap.n_clusters:
-        raise EchobakeError(
-            f"ran {counter.count} high-order traces for "
-            f"{cmap.n_clusters} clusters"
-        )
-    t_lr_ms = sum(r[1] for r in lr_results) / cmap.n_clusters
-    enriched_map = ClusterMap(tuple(r[0] for r in lr_results), n)
+            lr_position=(float(src[0]), float(src[1]), float(src[2]))))
+    t_lr_ms = (time.perf_counter() - t0) * 1000.0 / cmap.n_clusters
 
     stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     bakefile = BakeFile(scene.fingerprint, scene.bands.edges_hz, config,
-                        samples, enriched_map, __version__, stamp)
-    stats = BakeStats(n, cmap.n_clusters, t_er_ms, t_lr_ms, counter.count)
-    return bakefile, stats
+                        samples, ClusterMap(tuple(clusters), n), __version__,
+                        stamp)
+    return bakefile, BakeStats(n, cmap.n_clusters, t_er_ms, t_lr_ms)
 
 
 @dataclass(frozen=True)
@@ -304,10 +287,22 @@ class LookupResult:
     distance_m: float
 
 
+def _plain(x):
+    """`x` with numpy arrays and scalars, including the items of a tuple or
+    list, turned into Python lists and numbers."""
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.tolist()
+    if isinstance(x, (tuple, list)):
+        return [v.tolist() if isinstance(v, np.generic) else v for v in x]
+    return x
+
+
 def lookup(bakefile: BakeFile, index: int | None = None,
            position=None, max_distance: float = 1.0) -> LookupResult:
     """Find the cluster owning a baked sample, by index or by proximity.
 
+    `index` must be an integer (a Python or numpy int, not a bool) and
+    `position` 3 finite coordinates (a tuple, list or numpy array).
     Position lookups snap to the nearest baked sample and report the
     distance; unless it is at most `max_distance` (a NaN never is), the
     query is outside the baked coverage and refused.
@@ -315,12 +310,18 @@ def lookup(bakefile: BakeFile, index: int | None = None,
     if (index is None) == (position is None):
         raise InputError("provide exactly one of index or position")
     if index is not None:
+        index = _plain(index)
+        if not is_int(index):
+            raise InputError(f"sample index must be an integer, got {index!r}")
         if not 0 <= index < len(bakefile.samples):
             raise InputError(
                 f"sample index {index} out of range 0..{len(bakefile.samples) - 1}"
             )
         si, dist = index, 0.0
     else:
+        position = _plain(position)
+        if not is_point(position):
+            raise InputError(f"position must be 3 finite coordinates, got {position!r}")
         p = np.asarray(position, dtype=np.float64)
         coords = np.array([s.position for s in bakefile.samples])
         with np.errstate(over="ignore", invalid="ignore"):
@@ -379,8 +380,9 @@ def run_mfp_validation(n_rays: int = 500, n_bounces: int = 20,
         volume, area = analytic_volume_and_area(scene)
         mu_an = mfp_analytic(volume, area)
         t0 = time.perf_counter()
-        est = mfp_from_trace(trace_segments(
-            scene, fixture.source, TraceConfig(n_rays, n_bounces, seed)))
+        [result] = trace_segments(scene, [fixture.source],
+                                  TraceConfig(n_rays, n_bounces, seed))
+        est = mfp_from_trace(result)
         elapsed = (time.perf_counter() - t0) * 1000.0
         err = est.relative_error(mu_an)
         rows.append(MfpRow(fixture.name, mu_an, est.mean_free_path,

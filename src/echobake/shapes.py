@@ -3,10 +3,9 @@
 Everything here emits mesh text in the same OBJ subset `load_scene`
 parses, so generated scenes and scenes loaded from disk go through one
 code path. The closed shapes (box, pyramid, pillar room) are wound
-consistently outward and pass the watertightness check; the corridor uses
-zero-thickness membrane walls between rooms, which is fine for tracing
-(triangles are two-sided) but deliberately not for the analytic
-volume/area operation.
+consistently outward and pass the watertightness check. The bundled
+corridor is a checked-in file; only its doorway planes are kept here, for
+the corridor validation.
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 
 def default_materials_json(alpha: float = 0.2, n_bands: int = 4) -> str:
@@ -183,113 +180,9 @@ def validation_shapes() -> list[ShapeFixture]:
 
 # --- three-room corridor ----------------------------------------------------
 
-# Rooms along +x. Volumes 135 / 256 / 125 m^3.
-_R1 = ((0.0, 6.0), (0.0, 4.5), (0.0, 5.0))
-_R2 = ((6.0, 14.0), (0.0, 8.0), (0.0, 4.0))
-_R3 = ((14.0, 19.0), (0.0, 5.0), (0.0, 5.0))
-_DOOR1 = ((1.75, 2.75), (0.0, 2.0))  # at x = 6, (y range, z range)
-_DOOR2 = ((2.0, 3.0), (0.0, 2.0))    # at x = 14
-
-
-def _add_x_wall(w: _MeshWriter, x: float, strips) -> None:
-    for (y0, y1), (z0, z1) in strips:
-        w.quad((x, y0, z0), (x, y1, z0), (x, y1, z1), (x, y0, z1))
-
-
-def _dividing_wall_strips(cross_a, cross_b, door):
-    """Rectangles covering (cross_a union cross_b) minus the door.
-
-    Crosses are ((y0, y1), (z0, z1)) with y0 = z0 = 0 and ya <= yb assumed,
-    which holds for this fixture's layout.
-    """
-    (ya0, ya1), (_, za1) = cross_a
-    (yb0, yb1), (_, zb1) = cross_b
-    (dy0, dy1), (_, dz1) = door
-    strips = [
-        ((ya0, dy0), (0.0, za1)),
-        ((dy0, dy1), (dz1, za1)),
-        ((dy1, ya1), (0.0, za1)),
-    ]
-    if yb1 > ya1:
-        strips.append(((ya1, yb1), (0.0, zb1)))
-    return strips
-
-
-def corridor_obj() -> str:
-    """Three connected rooms with floor-level doorway apertures.
-
-    The dividing walls are zero-thickness membranes shared by the rooms on
-    either side; tracing treats triangles as two-sided so this is
-    acoustically sound, but the mesh is intentionally not watertight in
-    the oriented-manifold sense.
-    """
-    w = _MeshWriter()
-    (x10, x11), (y10, y11), (_, z11) = _R1
-    (x20, x21), (y20, y21), (_, z21) = _R2
-    (x30, x31), (y30, y31), (_, z31) = _R3
-
-    for (xa, xb), (ya, yb), zc in (
-        ((x10, x11), (y10, y11), z11),
-        ((x20, x21), (y20, y21), z21),
-        ((x30, x31), (y30, y31), z31),
-    ):
-        w.quad((xa, ya, 0.0), (xa, yb, 0.0), (xb, yb, 0.0), (xb, ya, 0.0))
-        w.quad((xa, ya, zc), (xb, ya, zc), (xb, yb, zc), (xa, yb, zc))
-        w.quad((xa, ya, 0.0), (xb, ya, 0.0), (xb, ya, zc), (xa, ya, zc))
-        w.quad((xa, yb, 0.0), (xa, yb, zc), (xb, yb, zc), (xb, yb, 0.0))
-
-    _add_x_wall(w, x10, [((y10, y11), (0.0, z11))])  # far wall of room 1
-    _add_x_wall(w, x31, [((y30, y31), (0.0, z31))])  # far wall of room 3
-    _add_x_wall(w, x11, _dividing_wall_strips((_R1[1], _R1[2]), (_R2[1], _R2[2]), _DOOR1))
-    _add_x_wall(w, x21, _dividing_wall_strips((_R3[1], _R3[2]), (_R2[1], _R2[2]), _DOOR2))
-    return w.obj_text("three-room corridor, volumes 135 / 256 / 125 m^3")
-
-
-def corridor_room_analytics() -> list[tuple[float, float]]:
-    """Per-room (volume, area) treating each room as isolated."""
-    out = []
-    for (x0, x1), (y0, y1), (z0, z1) in (_R1, _R2, _R3):
-        lx, ly, lz = x1 - x0, y1 - y0, z1 - z0
-        out.append((lx * ly * lz, 2.0 * (lx * ly + lx * lz + ly * lz)))
-    return out
-
-
-_CORRIDOR_WAYPOINTS = [
-    # Serpentine through room 1, out through door 1 (y = 2.25), a loop of
-    # room 2, out through door 2 (y = 2.5), and a sweep of room 3.
-    (1.4, 1.4), (4.6, 1.4), (4.6, 3.1), (1.6, 3.1), (1.6, 2.25),
-    (5.0, 2.25), (7.0, 2.25),
-    (7.6, 1.4), (12.6, 1.4), (12.6, 4.2), (7.4, 4.2), (7.4, 6.6), (12.4, 6.6),
-    (12.8, 2.5), (15.0, 2.5),
-    (15.6, 1.4), (17.6, 1.4), (17.6, 3.6), (15.6, 3.6),
-]
-_CORRIDOR_EAR_HEIGHT = 1.7
-
-
-def corridor_path(n_points: int = 60) -> np.ndarray:
-    """Listener positions along the corridor walk, evenly spaced by arc
-    length. Returns an (n_points, 3) array."""
-    pts = np.asarray(_CORRIDOR_WAYPOINTS, dtype=np.float64)
-    deltas = np.diff(pts, axis=0)
-    seg_len = np.hypot(deltas[:, 0], deltas[:, 1])
-    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
-    targets = np.linspace(0.0, cum[-1], n_points)
-    xy = np.empty((n_points, 2))
-    for k, s in enumerate(targets):
-        i = min(np.searchsorted(cum, s, side="right") - 1, len(seg_len) - 1)
-        frac = (s - cum[i]) / seg_len[i]
-        xy[k] = pts[i] + frac * deltas[i]
-    out = np.column_stack([xy, np.full(n_points, _CORRIDOR_EAR_HEIGHT)])
-    return out
-
 
 def corridor_aperture_planes() -> list[tuple[float, tuple[float, float], tuple[float, float]]]:
-    """(x, y range, z range) of each doorway, for distance-to-aperture tests."""
-    return [(_R1[0][1], _DOOR1[0], _DOOR1[1]), (_R2[0][1], _DOOR2[0], _DOOR2[1])]
-
-
-def path_csv_text(points: np.ndarray) -> str:
-    lines = ["x,y,z"]
-    for x, y, z in np.asarray(points, dtype=np.float64):
-        lines.append(f"{float(x)!r},{float(y)!r},{float(z)!r}")
-    return "\n".join(lines) + "\n"
+    """(x, y range, z range) of each doorway of the bundled corridor fixture
+    (`fixtures/corridor.obj`), in the walls between its three rooms, for
+    distance-to-aperture tests."""
+    return [(6.0, (1.75, 2.75), (0.0, 2.0)), (14.0, (2.0, 3.0), (0.0, 2.0))]

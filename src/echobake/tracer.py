@@ -3,7 +3,8 @@
 Rays are emitted uniformly over the sphere from per-ray random streams
 keyed by (seed, ray index), so results never depend on execution order or
 batching. `trace_segments` records free-path segment lengths for the mean
-free path estimator; `trace_energy_decay` follows the same geometry while
+free path estimator, for any number of sources in one ray set;
+`trace_energy_decay` follows the same geometry from one source while
 attenuating a per-band energy payload at every surface hit and depositing
 it into a time histogram, which later feeds the decay-regression RT60.
 """
@@ -53,7 +54,7 @@ class TraceConfig:
 
 @dataclass(frozen=True)
 class PathTraceResult:
-    """Free-path segments from one trace.
+    """Free-path segments of one source's rays.
 
     `lengths[i, j]` is the length of ray i's j-th segment (the emission
     leg counts as segment 0); entries at or past `bounces_completed[i]`
@@ -130,14 +131,14 @@ def sphere_directions(seed: int, n: int) -> np.ndarray:
     return out
 
 
-def _check_source(scene: Scene, source: np.ndarray) -> None:
+def _check_source(scene: Scene, source: np.ndarray, prefix: str = "") -> None:
+    src = tuple(float(v) for v in source)
     if not np.all(np.isfinite(source)):
-        raise InputError(f"source {tuple(float(v) for v in source)} is not finite")
+        raise InputError(f"{prefix}source {src} is not finite")
     lo, hi = scene.bounds
     if np.any(source < lo - _BOUNDS_PAD) or np.any(source > hi + _BOUNDS_PAD):
-        src = tuple(float(v) for v in source)
         raise InputError(
-            f"source {src} lies outside the scene bounds "
+            f"{prefix}source {src} lies outside the scene bounds "
             f"(low {tuple(float(v) for v in lo)}, "
             f"high {tuple(float(v) for v in hi)})"
         )
@@ -167,30 +168,41 @@ def _bounce(scene: Scene, origins, dirs):
     return t, hit, ids, points, reflected
 
 
-def trace_segments(scene: Scene, source, config: TraceConfig) -> PathTraceResult:
-    """Trace specular free paths from `source`.
+def trace_segments(scene: Scene, sources, config: TraceConfig,
+                   first_index: int = 0) -> list[PathTraceResult]:
+    """Trace specular free paths from every source as one ray set.
 
     Parameters
     ----------
     scene : Scene
-    source : 3-sequence, position strictly inside the scene (a 1 m pad is
-        allowed so planar test scenes remain usable).
-    config : TraceConfig
+    sources : (n, 3) array of positions strictly inside the scene (a 1 m
+        pad is allowed so planar test scenes remain usable).
+    config : TraceConfig; each source gets its own `n_rays` rays.
+    first_index : the point index errors give `sources[0]`.
+
+    Returns one result per source, in order, each exactly that of a
+    one-source trace. Memory grows with n * n_rays * n_bounces.
 
     Raises
     ------
+    InputError
+        ``point i: ...`` for a source that is not finite or lies outside
+        the scene.
     NoCollisionsError
-        If not a single ray ever hits a surface; the mean free path is
-        undefined in that case.
+        ``point i: ...`` for a source none of whose rays hit a surface; its
+        mean free path is undefined.
     """
-    src = np.asarray(source, dtype=np.float64)
-    _check_source(scene, src)
-    n, b = config.n_rays, config.n_bounces
-    dirs = np.array(sphere_directions(config.rng_seed, n))
-    origins = np.tile(src, (n, 1))
-    lengths = np.zeros((n, b), dtype=np.float64)
-    completed = np.zeros(n, dtype=np.int64)
-    alive = np.arange(n)
+    srcs = np.asarray(sources, dtype=np.float64)
+    if srcs.ndim != 2 or srcs.shape[1] != 3:
+        raise InputError(f"sources must be an (n, 3) array, got shape {srcs.shape}")
+    for i, src in enumerate(srcs, first_index):
+        _check_source(scene, src, f"point {i}: ")
+    k, n, b = srcs.shape[0], config.n_rays, config.n_bounces
+    dirs = np.tile(sphere_directions(config.rng_seed, n), (k, 1))
+    origins = np.repeat(srcs, n, axis=0)
+    lengths = np.zeros((k * n, b), dtype=np.float64)
+    completed = np.zeros(k * n, dtype=np.int64)
+    alive = np.arange(k * n)
     for j in range(b):
         t, hit, _, points, reflected = _bounce(scene, origins, dirs)
         if points is None:
@@ -199,10 +211,16 @@ def trace_segments(scene: Scene, source, config: TraceConfig) -> PathTraceResult
         lengths[alive, j] = t[hit]
         completed[alive] = j + 1
         origins, dirs = points, reflected
-    if int(completed.sum()) == 0:
-        raise NoCollisionsError("no collisions; mean-free path undefined")
-    return PathTraceResult((float(src[0]), float(src[1]), float(src[2])), config,
-                           lengths, completed)
+    lengths = lengths.reshape(k, n, b)
+    completed = completed.reshape(k, n)
+    results = []
+    for i, src in enumerate(srcs):
+        if not completed[i].any():
+            raise NoCollisionsError(f"point {first_index + i}: no collisions; "
+                                    "mean-free path undefined")
+        results.append(PathTraceResult(tuple(float(v) for v in src), config,
+                                       lengths[i], completed[i]))
+    return results
 
 
 def trace_energy_decay(scene: Scene, source, config: TraceConfig) -> EnergyDecayCurve:

@@ -3,9 +3,10 @@ import pytest
 
 from echobake.perception import Cluster, ClusterMap
 from echobake.scene import load_scene
-from echobake.shapes import (corridor_obj, corridor_path, cube_obj,
-                             default_materials_json, pillar_room_obj,
-                             square_pyramid_obj)
+from echobake.shapes import (cube_obj, default_materials_json,
+                             pillar_room_obj, square_pyramid_obj)
+
+from corridor_geometry import corridor_obj, corridor_path
 
 
 @pytest.fixture(scope="session")

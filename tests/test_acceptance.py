@@ -13,6 +13,7 @@ import pytest
 from conftest import baked_map, random_rays
 from scalar_oracle import mismatches, scene_closest_hit
 
+from echobake import pipeline
 from echobake.acoustics import (edc_from_impulse_response, mfp_analytic,
                                 rt60_from_decay, rt60_from_mfp, rt60_sabine)
 from echobake.audio_io import AudioBuffer
@@ -113,14 +114,29 @@ def test_criterion_6_filter_round_trip():
         assert abs(est.bands[0] - rt) / rt <= 0.10, (rt, est.bands[0])
 
 
-def test_criterion_7_precomputation_economy(corridor_run):
+def test_criterion_7_precomputation_economy(corridor_run, monkeypatch):
     report, _ = corridor_run
     stats = report.stats
     assert stats.n_points == 60
     assert stats.n_clusters <= 12
-    assert stats.lr_traces_run == stats.n_clusters
     assert stats.lr_calls_saved == 60 - stats.n_clusters
     assert stats.t_lr_ms > stats.t_er_ms
+
+    # Count the high-order traces a bake runs, where the pipeline calls
+    # them: one per cluster, from the cluster's first point.
+    sources = []
+    real = pipeline.trace_energy_decay
+
+    def counted(scene, source, *args):
+        sources.append(tuple(source))
+        return real(scene, source, *args)
+
+    monkeypatch.setattr(pipeline, "trace_energy_decay", counted)
+    scene, pts = corridor_fixture()
+    bakefile, _ = bake(scene, pts, BakeConfig(threads=2))
+    clusters = bakefile.cluster_map.clusters
+    assert sources == [tuple(pts[c.start]) for c in clusters]
+    assert bakefile.canonical_bytes() == report.bakefile.canonical_bytes()
 
 
 def test_criterion_8_deterministic_bakes(corridor_run):

@@ -65,7 +65,8 @@ class TestClosedFormFormulas:
 class TestMfpFromTrace:
     def test_cube_estimate_near_analytic(self, cube_scene):
         cfg = TraceConfig(n_rays=500, n_bounces=20, rng_seed=0)
-        est = mfp_from_trace(trace_segments(cube_scene, CENTER, cfg))
+        [res] = trace_segments(cube_scene, [CENTER], cfg)
+        est = mfp_from_trace(res)
         assert est.n_segments == 500 * 20
         assert est.n_escaped == 0
         assert est.relative_error(10.0 / 3.0) < 0.05
@@ -97,7 +98,6 @@ class TestDecayRegression:
     @pytest.mark.parametrize("rt", [0.5, 1.0, 2.0])
     def test_recovers_ideal_exponential(self, rt):
         est = rt60_from_decay(exponential_curve(rt))
-        assert est.method == "decay_regression"
         assert est.bands[0] == pytest.approx(rt, rel=1e-9)
         assert est.r_squared[0] > 0.999999
 

@@ -93,6 +93,12 @@ class TestWavReadRejections:
         with pytest.raises(InputError, match="malformed"):
             wav_read(b"")
 
+    @pytest.mark.parametrize("cut", [1, 3])
+    def test_odd_data_length_rejected(self, cut):
+        data = wav_write(AudioBuffer(8000, np.zeros(10)))[:-cut]
+        with pytest.raises(InputError, match=f"is {20 - cut} bytes"):
+            wav_read(data)
+
     def test_stereo_rejected(self):
         bio = io.BytesIO()
         with wave.open(bio, "wb") as w:

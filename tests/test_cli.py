@@ -6,8 +6,9 @@ import pytest
 from echobake.audio_io import AudioBuffer, wav_read, wav_write
 from echobake.cli import main
 from echobake.pipeline import BakeFile
-from echobake.shapes import (corridor_obj, cube_obj, default_materials_json,
-                             path_csv_text)
+from echobake.shapes import cube_obj, default_materials_json
+
+from corridor_geometry import corridor_obj, path_csv_text
 
 BAKE_SPEED = ["--er-rays", "60", "--er-bounces", "10",
               "--lr-rays", "80", "--lr-bounces", "60"]
@@ -211,6 +212,15 @@ class TestRender:
                      "--schedule", str(schedule), "--out", str(workdir / "x.wav")])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_truncated_wav(self, workdir, baked, capsys):
+        cut = workdir / "cut.wav"
+        cut.write_bytes((workdir / "dry.wav").read_bytes()[:-1])
+        code = main(["render", "--bake", str(baked), "--dry", str(cut),
+                     "--schedule", str(workdir / "schedule.csv"),
+                     "--out", str(workdir / "x.wav")])
+        assert code == 2
+        assert "17639 bytes" in capsys.readouterr().err
 
     def test_bad_schedule_row_names_line(self, workdir, baked, capsys):
         bad = workdir / "bad_row.csv"

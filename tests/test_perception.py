@@ -155,7 +155,7 @@ class TestClusterPath:
         for c in cmap.clusters:
             assert c.start == expected
             expected = c.stop
-            for i in c.indices():
+            for i in range(c.start, c.stop):
                 rel = abs(samples[i].mu - c.mu_ref) / c.mu_ref
                 assert rel <= 0.01 + 1e-12
         assert expected == len(mus)
@@ -164,7 +164,7 @@ class TestClusterPath:
     def test_cluster_of_agrees_with_membership(self, mus):
         cmap = cluster_path(make_samples(mus))
         for cid, c in enumerate(cmap.clusters):
-            for i in c.indices():
+            for i in range(c.start, c.stop):
                 assert cmap.cluster_of(i) == cid
 
 

@@ -1,10 +1,14 @@
 import dataclasses
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from echobake import pipeline
+from echobake.acoustics import mfp_from_trace
 from echobake.audio_io import AudioBuffer
 from echobake.errors import InputError, ValidationFailure
 from echobake.perception import Cluster, ClusterMap, PathSample
@@ -12,8 +16,9 @@ from echobake.pipeline import (BakeConfig, BakeFile, BakeStats, bake,
                                corridor_fixture, lookup, parse_path_csv,
                                run_mfp_validation)
 from echobake.reverb import render_path
-from echobake.shapes import (corridor_obj, corridor_path,
-                             default_materials_json, path_csv_text)
+from echobake.shapes import default_materials_json
+
+from corridor_geometry import corridor_obj, corridor_path, path_csv_text
 
 FAST = BakeConfig(er_rays=60, er_bounces=10, lr_rays=80, lr_bounces=60)
 NAN, INF = float("nan"), float("inf")
@@ -66,13 +71,21 @@ class TestBakeConfig:
 
 
 class TestBake:
-    def test_tight_path_shares_one_lr_trace(self, cube_bake):
-        bakefile, stats = cube_bake
+    def test_tight_path_shares_one_lr_trace(self, cube_scene, monkeypatch):
+        sources = []
+        real = pipeline.trace_energy_decay
+
+        def counted(scene, source, *args):
+            sources.append(tuple(source))
+            return real(scene, source, *args)
+
+        monkeypatch.setattr(pipeline, "trace_energy_decay", counted)
+        bakefile, stats = bake(cube_scene, short_line(), FAST)
         assert stats.n_points == 40
         assert stats.n_clusters == 1
-        assert stats.lr_traces_run == 1
         assert stats.lr_calls_saved == 39
         assert bakefile.cluster_map.n_clusters == 1
+        assert sources == [tuple(short_line()[0])]
 
     def test_clusters_carry_rt60_and_source(self, cube_bake):
         bakefile, _ = cube_bake
@@ -117,6 +130,60 @@ class TestBake:
         assert bakefile.scene_fingerprint == cube_scene.fingerprint
         assert bakefile.tool_version == __version__
         assert bakefile.created_utc.endswith("Z")
+
+
+class TestEarlyReflectionGroups:
+    """The ER stage traces the path in ray sets of `ER_GROUP_RAYS` rays."""
+
+    CONFIG = BakeConfig(er_rays=100, er_bounces=20)
+
+    def test_group_boundaries_keep_each_mu(self, monkeypatch):
+        scene, points = corridor_fixture()
+        pts = points[::3]
+        config = self.CONFIG
+        groups = []
+        real = pipeline.trace_segments
+
+        def recorded(scene, sources, *args, **kwargs):
+            groups.append(len(sources))
+            return real(scene, sources, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "trace_segments", recorded)
+        monkeypatch.setattr(pipeline, "ER_GROUP_RAYS", 7 * 100 + 99)
+        mus = pipeline._mean_free_paths(scene, pts, config)
+        assert groups == [7, 7, 6]
+        cfg = config.er_trace_config()
+        assert mus == [mfp_from_trace(real(scene, [p], cfg)[0]).mean_free_path
+                       for p in pts]
+
+    def test_errors_name_the_point_past_the_first_group(self, cube_scene,
+                                                        monkeypatch):
+        monkeypatch.setattr(pipeline, "ER_GROUP_RAYS", 60 * 4)
+        pts = short_line(12)
+        pts[9, 0] = 99.0
+        with pytest.raises(InputError, match="^point 9: source .* outside"):
+            bake(cube_scene, pts, FAST)
+
+    def test_memory_does_not_grow_with_the_path(self, monkeypatch):
+        # One group holds 15 corridor points; the whole path is 4 groups.
+        # Each group is reduced to its mean free paths before the next is
+        # traced, so the longer path may only add a little bookkeeping:
+        # less than half of one group's segment array.
+        scene, points = corridor_fixture()
+        monkeypatch.setattr(pipeline, "ER_GROUP_RAYS", 15 * 100)
+
+        def peak(pts):
+            pipeline._mean_free_paths(scene, pts[:1], self.CONFIG)  # warm caches
+            tracemalloc.start()
+            try:
+                pipeline._mean_free_paths(scene, pts, self.CONFIG)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_group = peak(points[:15])
+        segment_array_bytes = 15 * 100 * 20 * 8
+        assert peak(points) < one_group + segment_array_bytes // 2
 
 
 class TestBakeFileSerialization:
@@ -300,12 +367,12 @@ class TestBakeFileFuzz:
 
 class TestBakeStats:
     def test_saved_calls(self):
-        stats = BakeStats(60, 8, 1.0, 10.0, 8)
+        stats = BakeStats(60, 8, 1.0, 10.0)
         assert stats.lr_calls_saved == 52
 
     def test_rejects_more_clusters_than_points(self):
         with pytest.raises(InputError):
-            BakeStats(5, 6, 1.0, 1.0, 6)
+            BakeStats(5, 6, 1.0, 1.0)
 
 
 class TestLookup:
@@ -336,6 +403,39 @@ class TestLookup:
     def test_index_out_of_range(self, cube_bake):
         with pytest.raises(InputError, match="out of range"):
             lookup(cube_bake[0], index=40)
+        with pytest.raises(InputError, match="out of range"):
+            lookup(cube_bake[0], index=-1)
+
+    def test_numpy_query_values_accepted(self, cube_bake):
+        # An index from np.argmin and a row of a path array work like their
+        # Python equivalents.
+        pts = short_line()
+        i = np.argmin(np.abs(pts[:, 0] - 2.3))
+        res = lookup(cube_bake[0], index=i)
+        assert type(res.sample_index) is int and res.sample_index == int(i)
+        assert lookup(cube_bake[0], position=pts[i]).sample_index == i
+        near = lookup(cube_bake[0], position=(2.31, 2.52, 2.5))
+        for position in [np.array([2.31, 2.52, 2.5]),
+                         (np.float32(2.31), np.float64(2.52), np.int64(2))]:
+            got = lookup(cube_bake[0], position=position)
+            assert got.sample_index == near.sample_index
+        assert lookup(cube_bake[0], index=np.int32(3)).sample_index == 3
+
+    @pytest.mark.parametrize("index", [1.5, True, "1", np.float64(1.0),
+                                       np.bool_(True), np.array([1])])
+    def test_non_integer_index_refused(self, cube_bake, index):
+        with pytest.raises(InputError, match="must be an integer"):
+            lookup(cube_bake[0], index=index)
+
+    @pytest.mark.parametrize("position", [
+        (1, 2), (2.4, 2.5, 2.5, 1.0), "abc", 2.4, [], ("2.4", 2.5, 2.5),
+        (True, 2.5, 2.5), np.array([2.4, 2.5]), np.array([[2.4, 2.5, 2.5]]),
+        np.array([True, True, True]), (np.bool_(True), 2.5, 2.5),
+        np.array([2.4, np.nan, 2.5]),
+    ])
+    def test_malformed_position_refused(self, cube_bake, position):
+        with pytest.raises(InputError, match="3 finite coordinates"):
+            lookup(cube_bake[0], position=position)
 
     @pytest.mark.parametrize("position, max_distance", [
         ((NAN, NAN, NAN), 1.0),
@@ -344,9 +444,12 @@ class TestLookup:
         ((1e308, -1e308, 1e308), 1.0),
     ])
     def test_nonfinite_query_refused(self, cube_bake, position, max_distance):
-        # A NaN distance or limit fails `dist <= max_distance`; an
-        # overflowing distance is out of coverage, not a RuntimeWarning.
-        with pytest.raises(InputError, match="coverage"):
+        # A NaN coordinate is refused before any distance is taken. A NaN
+        # limit fails `dist <= max_distance`; an overflowing distance is out
+        # of coverage, not a RuntimeWarning.
+        finite = all(map(math.isfinite, position))
+        with pytest.raises(InputError, match="coverage" if finite
+                           else "3 finite coordinates"):
             lookup(cube_bake[0], position=position, max_distance=max_distance)
 
 

@@ -8,10 +8,11 @@ from echobake.errors import (InputError, MaterialError, MeshParseError,
 from echobake.scene import (DEFAULT_BAND_EDGES, BandLayout, Material,
                             analytic_volume_and_area, load_scene, parse_materials,
                             parse_mesh)
-from echobake.shapes import (box_obj, corridor_obj, corridor_room_analytics,
-                             cube_obj, default_materials_json,
+from echobake.shapes import (box_obj, cube_obj, default_materials_json,
                              pillar_room_analytic, pillar_room_obj,
                              square_pyramid_obj, validation_shapes)
+
+from corridor_geometry import corridor_room_analytics
 
 MATS = default_materials_json(0.2)
 

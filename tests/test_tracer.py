@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from echobake.acoustics import mfp_from_trace
 from echobake.errors import InputError, NoCollisionsError
 from echobake.pipeline import BakeConfig, bake, corridor_fixture
 from echobake.scene import load_scene
@@ -120,7 +121,7 @@ class TestReflect:
 class TestTraceSegments:
     def test_first_segment_matches_box_oracle(self, cube_scene):
         cfg = TraceConfig(n_rays=200, n_bounces=1, rng_seed=0)
-        res = trace_segments(cube_scene, CENTER, cfg)
+        [res] = trace_segments(cube_scene, [CENTER], cfg)
         dirs = sphere_directions(0, 200)
         with np.errstate(divide="ignore"):
             expected = (2.5 / np.abs(dirs)).min(axis=1)
@@ -128,7 +129,7 @@ class TestTraceSegments:
 
     def test_closed_room_completes_all_bounces(self, cube_scene):
         cfg = TraceConfig(n_rays=100, n_bounces=20, rng_seed=0)
-        res = trace_segments(cube_scene, CENTER, cfg)
+        [res] = trace_segments(cube_scene, [CENTER], cfg)
         assert np.all(res.bounces_completed == 20)
         assert not res.escaped.any()
         assert res.n_segments == 100 * 20
@@ -137,8 +138,8 @@ class TestTraceSegments:
 
     def test_repeat_run_is_bitwise_identical(self, cube_scene):
         cfg = TraceConfig(n_rays=50, n_bounces=10, rng_seed=7)
-        a = trace_segments(cube_scene, CENTER, cfg)
-        b = trace_segments(cube_scene, CENTER, cfg)
+        [a] = trace_segments(cube_scene, [CENTER], cfg)
+        [b] = trace_segments(cube_scene, [CENTER], cfg)
         assert np.array_equal(a.lengths, b.lengths)
         assert np.array_equal(a.bounces_completed, b.bounces_completed)
 
@@ -147,14 +148,14 @@ class TestTraceSegments:
         # wall; that wall must still be found, or the ray leaves the room.
         scene, points = corridor_fixture()
         cfg = BakeConfig().er_trace_config()
-        for i in (1, 32, 44, 45, 47):
-            res = trace_segments(scene, points[i], cfg)
+        chosen = (1, 32, 44, 45, 47)
+        for i, res in zip(chosen, trace_segments(scene, points[list(chosen)], cfg)):
             assert not res.escaped.any(), f"point {i}"
 
     def test_open_scene_rays_escape(self):
         scene = load_scene(LONE_TRIANGLE_OBJ, default_materials_json())
         cfg = TraceConfig(n_rays=200, n_bounces=5, rng_seed=0)
-        res = trace_segments(scene, (0.25, 0.25, 0.5), cfg)
+        [res] = trace_segments(scene, [(0.25, 0.25, 0.5)], cfg)
         # Downward rays hit the triangle once; the mirrored ray leaves
         # the scene, so nothing ever completes a second bounce.
         assert res.escaped.all()
@@ -164,21 +165,40 @@ class TestTraceSegments:
     def test_no_collisions_raises(self):
         scene = load_scene(LONE_TRIANGLE_OBJ, default_materials_json())
         cfg = TraceConfig(n_rays=100, n_bounces=3, rng_seed=0)
-        with pytest.raises(NoCollisionsError):
-            trace_segments(scene, (1.5, 1.5, 0.0), cfg)
+        with pytest.raises(NoCollisionsError, match="^point 0: no collisions"):
+            trace_segments(scene, [(1.5, 1.5, 0.0)], cfg)
 
     def test_source_far_outside_bounds_rejected(self, cube_scene):
         with pytest.raises(InputError, match="outside"):
-            trace_segments(cube_scene, (99.0, 2.5, 2.5),
+            trace_segments(cube_scene, [(99.0, 2.5, 2.5)],
                            TraceConfig(n_rays=10, n_bounces=2))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_source_rejected(self, cube_scene, bad):
         with pytest.raises(InputError, match="not finite"):
-            trace_segments(cube_scene, (2.5, 2.5, bad),
+            trace_segments(cube_scene, [(2.5, 2.5, bad)],
                            TraceConfig(n_rays=10, n_bounces=2))
         with pytest.raises(InputError, match="^point 1: .*not finite"):
             bake(cube_scene, [[2.5, 2.5, 2.5], [2.5, 2.5, bad]])
+
+    def test_errors_name_the_point(self, cube_scene):
+        cfg = TraceConfig(n_rays=10, n_bounces=2)
+        with pytest.raises(InputError, match="^point 1: source .* outside"):
+            trace_segments(cube_scene, [CENTER, (99.0, 2.5, 2.5)], cfg)
+        with pytest.raises(InputError, match="^point 8: source .* not finite"):
+            trace_segments(cube_scene, [CENTER, (2.5, math.nan, 2.5)], cfg,
+                           first_index=7)
+        # The rays of the first point hit the triangle; none of the second's
+        # can.
+        scene = load_scene(LONE_TRIANGLE_OBJ, default_materials_json())
+        with pytest.raises(NoCollisionsError, match="^point 6: no collisions"):
+            trace_segments(scene, [(0.25, 0.25, 0.5), (1.5, 1.5, 0.0)],
+                           TraceConfig(n_rays=100, n_bounces=3), first_index=5)
+
+    @pytest.mark.parametrize("sources", [CENTER, [[1.0, 2.0]], np.zeros((2, 4))])
+    def test_sources_must_be_rows_of_three(self, cube_scene, sources):
+        with pytest.raises(InputError, match=r"\(n, 3\) array"):
+            trace_segments(cube_scene, sources, TraceConfig(n_rays=10, n_bounces=2))
 
     def test_config_validation(self):
         with pytest.raises(InputError):
@@ -189,6 +209,32 @@ class TestTraceSegments:
             TraceConfig(n_rays=5, n_bounces=5, rng_seed=-1)
         with pytest.raises(InputError):
             TraceConfig(n_rays=5.0, n_bounces=5)
+
+
+class TestBatchedSegments:
+    """Many sources in one ray set give each source its one-row trace."""
+
+    def test_each_point_matches_a_one_row_trace(self):
+        # 20 corridor points at 200 rays: 4,000 rays against 44 triangles
+        # are three kernel chunks. The points span all three rooms and both
+        # doorways.
+        scene, points = corridor_fixture()
+        pts = points[::3]
+        cfg = TraceConfig(n_rays=200, n_bounces=10, rng_seed=3)
+        batched = trace_segments(scene, pts, cfg)
+        assert len(batched) == len(pts)
+        for p, res in zip(pts, batched):
+            [one] = trace_segments(scene, [p], cfg)
+            assert res.source == one.source == tuple(p)
+            assert np.array_equal(res.lengths, one.lengths)
+            assert np.array_equal(res.bounces_completed, one.bounces_completed)
+            assert (mfp_from_trace(res).mean_free_path
+                    == mfp_from_trace(one).mean_free_path)
+
+    def test_repeated_source_gets_identical_rays(self, cube_scene):
+        cfg = TraceConfig(n_rays=50, n_bounces=5, rng_seed=1)
+        a, b = trace_segments(cube_scene, [CENTER, CENTER], cfg)
+        assert np.array_equal(a.lengths, b.lengths)
 
 
 class TestTraceEnergyDecay:
@@ -246,7 +292,7 @@ class TestTraceEnergyDecay:
 
 def test_segments_csv_round_trip(cube_scene):
     cfg = TraceConfig(n_rays=3, n_bounces=2, rng_seed=0)
-    res = trace_segments(cube_scene, CENTER, cfg)
+    [res] = trace_segments(cube_scene, [CENTER], cfg)
     text = segments_csv_text(res)
     lines = text.strip().split("\n")
     assert lines[0] == "ray_index,bounce_index,length_m"
