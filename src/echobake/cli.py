@@ -87,6 +87,7 @@ def _cmd_bake(args) -> int:
           f"({stats.lr_calls_saved} high-order traces saved)")
     print(f"mean trace time: low-order {stats.t_er_ms:.1f} ms/point, "
           f"high-order {stats.t_lr_ms:.1f} ms/cluster")
+    print(f"high-order ray-bounces traced: {stats.lr_ray_bounces}")
     print(f"wrote {args.out}")
     if args.export_clusters:
         text = cluster_csv_text(list(bakefile.samples), bakefile.cluster_map)

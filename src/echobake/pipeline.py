@@ -27,7 +27,8 @@ from .errors import (EchobakeError, InputError, ValidationFailure,
 from .perception import DEFAULT_JND, Cluster, ClusterMap, PathSample, cluster_path
 from .scene import BandLayout, Scene, analytic_volume_and_area, load_scene
 from .shapes import corridor_aperture_planes, validation_shapes
-from .tracer import TraceConfig, trace_energy_decay, trace_segments
+from .tracer import (PathTraceResult, TraceConfig, trace_energy_decay,
+                     trace_segments)
 
 SCHEMA_VERSION = 3
 
@@ -39,6 +40,10 @@ MIN_COVERAGE = 0.8
 MU_FLATNESS = 0.015
 RT60_TOLERANCE = 0.05
 APERTURE_RADIUS_M = 0.5
+
+# A point more than this fraction of whose low-order rays leave the scene is
+# refused: it lies outside any closed room, or in one too open to reverberate.
+MAX_ESCAPE_FRACTION = 0.5
 
 # Path points are traced together in ER ray sets of at most this many rays
 # (the bundled corridor's 60 points at 500 rays fit in one), so the ER
@@ -87,6 +92,7 @@ class BakeStats:
     n_clusters: int
     t_er_ms: float
     t_lr_ms: float
+    lr_ray_bounces: int
 
     @property
     def lr_calls_saved(self) -> int:
@@ -216,6 +222,19 @@ def _prefixed(exc: EchobakeError, prefix: str) -> EchobakeError:
     return exc.__class__(f"{prefix}: {exc}")
 
 
+def _mean_free_path(result: PathTraceResult, index: int) -> float:
+    """One point's low-order mean free path; raises InputError naming the
+    point if more than `MAX_ESCAPE_FRACTION` of its rays escaped."""
+    n_rays = result.config.n_rays
+    escaped = int(result.escaped.sum())
+    if escaped > MAX_ESCAPE_FRACTION * n_rays:
+        raise InputError(
+            f"point {index}: {escaped} of {n_rays} low-order rays escaped the "
+            f"scene (more than {MAX_ESCAPE_FRACTION:.0%}); is the point "
+            "inside a closed room?")
+    return mfp_from_trace(result).mean_free_path
+
+
 def _mean_free_paths(scene: Scene, pts: np.ndarray,
                      config: BakeConfig) -> list[float]:
     """Each point's low-order mean free path, from ray sets of at most
@@ -225,9 +244,9 @@ def _mean_free_paths(scene: Scene, pts: np.ndarray,
     step = max(1, ER_GROUP_RAYS // er_cfg.n_rays)
     mus: list[float] = []
     for a in range(0, pts.shape[0], step):
-        mus += [mfp_from_trace(r).mean_free_path
-                for r in trace_segments(scene, pts[a:a + step], er_cfg,
-                                        first_index=a)]
+        mus += [_mean_free_path(r, i)
+                for i, r in enumerate(trace_segments(scene, pts[a:a + step],
+                                                     er_cfg, first_index=a), a)]
     return mus
 
 
@@ -259,14 +278,17 @@ def bake(scene: Scene, positions,
 
     lr_cfg = config.lr_trace_config()
     clusters = []
+    lr_ray_bounces = 0
     t0 = time.perf_counter()
     for ci, c in enumerate(cmap.clusters):
         src = pts[c.start]
         try:
-            est = rt60_from_decay(trace_energy_decay(scene, src, lr_cfg))
+            curve = trace_energy_decay(scene, src, lr_cfg)
+            est = rt60_from_decay(curve)
         except EchobakeError as exc:
             raise _prefixed(
                 exc, f"cluster {ci} (source point {c.start})") from exc
+        lr_ray_bounces += curve.ray_bounces
         clusters.append(dataclasses.replace(
             c, rt60_bands=tuple(est.bands), r_squared=tuple(est.r_squared),
             lr_position=(float(src[0]), float(src[1]), float(src[2]))))
@@ -276,7 +298,8 @@ def bake(scene: Scene, positions,
     bakefile = BakeFile(scene.fingerprint, scene.bands.edges_hz, config,
                         samples, ClusterMap(tuple(clusters), n), __version__,
                         stamp)
-    return bakefile, BakeStats(n, cmap.n_clusters, t_er_ms, t_lr_ms)
+    return bakefile, BakeStats(n, cmap.n_clusters, t_er_ms, t_lr_ms,
+                               lr_ray_bounces)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,10 @@ free path estimator, for any number of sources in one ray set;
 `trace_energy_decay` follows the same geometry from one source while
 attenuating a per-band energy payload at every surface hit and depositing
 it into a time histogram, which later feeds the decay-regression RT60.
+Once a ray's energy falls `ROULETTE_DB` below its start it plays Russian
+roulette, so the long tail far below the RT60 fit window is sampled by a
+few reweighted rays instead of traced by all of them. Its draws hash
+(seed, ray index, bounce), so they too are independent of batching.
 """
 
 from __future__ import annotations
@@ -30,6 +34,14 @@ NORMAL_OFFSET = 1e-6
 
 # A ray is dropped once every band has decayed below this energy.
 ENERGY_FLOOR = 1e-12
+
+# A decay ray whose largest band falls this far below its start energy plays
+# Russian roulette after each deposit (see `trace_energy_decay`). 40 dB is
+# past the -35 dB end of the RT60 fit window; 30 dB with a fixed survival
+# probability of 0.5 put closed-box RT60s up to 2.9% off their model.
+ROULETTE_DB = 40.0
+
+_MASK64 = (1 << 64) - 1
 
 _BOUNDS_PAD = 1.0
 SPEED_OF_SOUND = 343.0  # m/s, air at about 20 C
@@ -94,6 +106,7 @@ class EnergyDecayCurve:
     bin_width_s: float
     energies: np.ndarray
     band_edges_hz: tuple[float, ...]
+    ray_bounces: int = 0  # rays passed to the kernel, summed over bounces
 
     @property
     def n_bins(self) -> int:
@@ -129,6 +142,28 @@ def sphere_directions(seed: int, n: int) -> np.ndarray:
         out[i] = (r * math.cos(phi), r * math.sin(phi), z)
     out.setflags(write=False)
     return out
+
+
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 finaliser of each uint64 in `x` (wrapping arithmetic;
+    on arrays, numpy wraps without a warning)."""
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def roulette_uniforms(seed: int, ray_ids, bounce: int) -> np.ndarray:
+    """Uniforms in [0, 1), one per ray, from a hash of (seed, ray, bounce).
+
+    Each value depends only on its own ray index, so any subset or order of
+    rays draws exactly the values it would among all of them.
+    """
+    ids = np.asarray(ray_ids, dtype=np.uint64).reshape(-1)
+    h = _splitmix64(np.full(ids.shape, seed & _MASK64, dtype=np.uint64))
+    h = _splitmix64(h ^ ids)
+    h = _splitmix64(h ^ np.uint64(bounce))
+    return (h >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
 def _check_source(scene: Scene, source: np.ndarray, prefix: str = "") -> None:
@@ -229,8 +264,16 @@ def trace_energy_decay(scene: Scene, source, config: TraceConfig) -> EnergyDecay
     Every ray starts with energy 1/n_rays in each band. A hit first
     attenuates the payload by (1 - absorption) of the struck material,
     then the attenuated energy is deposited at the cumulative path time.
-    Rays terminate once all bands fall below 1e-12 or the bounce budget is
-    exhausted.
+
+    After the deposit, a ray whose largest band has fallen `ROULETTE_DB`
+    below its start, to `peak` under ``cut = 10**(-ROULETTE_DB / 10) /
+    n_rays``, survives with probability ``p = peak / cut`` and has its
+    whole payload divided by p, which lifts its peak back to `cut`. The
+    expected deposit of every later bounce is unchanged, so the curve stays
+    unbiased. Each draw is `roulette_uniforms(seed, ray index, bounce)`, so
+    a ray's fate does not depend on which other rays are still alive. Rays
+    also stop once every band is below `ENERGY_FLOOR`, when they escape, or
+    when the bounce budget is exhausted.
     """
     src = np.asarray(source, dtype=np.float64)
     _check_source(scene, src)
@@ -240,23 +283,37 @@ def trace_energy_decay(scene: Scene, source, config: TraceConfig) -> EnergyDecay
     origins = np.tile(src, (n, 1))
     energy = np.full((n, n_bands), 1.0 / n, dtype=np.float64)
     elapsed = np.zeros(n, dtype=np.float64)
+    ray = np.arange(n)
     alpha_by_tri = scene._alpha[scene._material_ids]
+    cut = 10.0 ** (-ROULETTE_DB / 10.0) / n
 
     dep_times: list[np.ndarray] = []
     dep_energy: list[np.ndarray] = []
-    for _ in range(b):
+    ray_bounces = 0
+    for j in range(b):
+        ray_bounces += origins.shape[0]
         t, hit, ids, points, reflected = _bounce(scene, origins, dirs)
         if points is None:
             break
+        ray = ray[hit]
         elapsed = elapsed[hit] + t[hit] / SPEED_OF_SOUND
         energy = energy[hit] * (1.0 - alpha_by_tri[ids])
-        dep_times.append(elapsed.copy())
-        dep_energy.append(energy.copy())
+        dep_times.append(elapsed)
+        dep_energy.append(energy)
 
-        carry = np.any(energy >= ENERGY_FLOOR, axis=1)
+        peak = energy.max(axis=1)
+        carry = peak >= ENERGY_FLOOR
+        low = np.flatnonzero(carry & (peak < cut))
+        if low.size:
+            p = peak[low] / cut
+            won = roulette_uniforms(config.rng_seed, ray[low], j) < p
+            carry[low] = won
+            energy = energy.copy()  # the deposit keeps its values
+            energy[low[won]] /= p[won, None]
         origins, dirs = points[carry], reflected[carry]
         energy = energy[carry]
         elapsed = elapsed[carry]
+        ray = ray[carry]
         if origins.shape[0] == 0:
             break
     if not dep_times:
@@ -269,7 +326,7 @@ def trace_energy_decay(scene: Scene, source, config: TraceConfig) -> EnergyDecay
     bins = np.minimum((times / BIN_WIDTH_S).astype(np.int64), n_bins - 1)
     hist = np.zeros((n_bins, n_bands), dtype=np.float64)
     np.add.at(hist, bins, deposits)
-    return EnergyDecayCurve(BIN_WIDTH_S, hist, scene.bands.edges_hz)
+    return EnergyDecayCurve(BIN_WIDTH_S, hist, scene.bands.edges_hz, ray_bounces)
 
 
 def segments_csv_text(result: PathTraceResult) -> str:

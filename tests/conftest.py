@@ -39,6 +39,12 @@ def corridor_points():
     return corridor_path()
 
 
+def open_cube_obj():
+    """The 5 m cube with its last face (two triangles) removed."""
+    lines = cube_obj(5.0).strip().splitlines()
+    return "\n".join(lines[:-2]) + "\n"
+
+
 def baked_map(rt60s):
     """Single-sample-per-cluster map with baked band RT60s."""
     clusters = tuple(

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,7 @@ class TestBake:
         text = capsys.readouterr().out
         assert "baked 8 points into 1 clusters" in text
         assert "7 high-order traces saved" in text
+        assert re.search(r"^high-order ray-bounces traced: \d+$", text, re.M)
 
     def test_export_clusters(self, workdir, capsys):
         out = workdir / "bake3.json"
@@ -65,6 +67,15 @@ class TestBake:
         lines = csv.read_text().strip().splitlines()
         assert lines[0] == "sample_index,x,y,z,mu,cluster_id"
         assert len(lines) == 9
+
+    def test_point_outside_the_room(self, workdir, capsys):
+        path = workdir / "outside.csv"
+        path.write_text("x,y,z\n2.5,2.5,2.5\n5.5,2.5,2.5\n")
+        code = main(["bake", "--scene", str(workdir / "cube.obj"),
+                     "--path", str(path), "--out", str(workdir / "x.json")]
+                    + BAKE_SPEED)
+        assert code == 2
+        assert "point 1: 60 of 60 low-order rays escaped" in capsys.readouterr().err
 
     def test_missing_scene_file(self, workdir, capsys):
         code = main(["bake", "--scene", str(workdir / "nope.obj"),

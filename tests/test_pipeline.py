@@ -16,8 +16,11 @@ from echobake.pipeline import (BakeConfig, BakeFile, BakeStats, bake,
                                corridor_fixture, lookup, parse_path_csv,
                                run_mfp_validation)
 from echobake.reverb import render_path
+from echobake.scene import load_scene
 from echobake.shapes import default_materials_json
+from echobake.tracer import trace_segments
 
+from conftest import open_cube_obj
 from corridor_geometry import corridor_obj, corridor_path, path_csv_text
 
 FAST = BakeConfig(er_rays=60, er_bounces=10, lr_rays=80, lr_bounces=60)
@@ -73,11 +76,13 @@ class TestBakeConfig:
 class TestBake:
     def test_tight_path_shares_one_lr_trace(self, cube_scene, monkeypatch):
         sources = []
+        curves = []
         real = pipeline.trace_energy_decay
 
         def counted(scene, source, *args):
             sources.append(tuple(source))
-            return real(scene, source, *args)
+            curves.append(real(scene, source, *args))
+            return curves[-1]
 
         monkeypatch.setattr(pipeline, "trace_energy_decay", counted)
         bakefile, stats = bake(cube_scene, short_line(), FAST)
@@ -86,6 +91,41 @@ class TestBake:
         assert stats.lr_calls_saved == 39
         assert bakefile.cluster_map.n_clusters == 1
         assert sources == [tuple(short_line()[0])]
+        # At alpha = 0.2 rays reach the roulette cut at bounce 42 of 60.
+        assert stats.lr_ray_bounces == curves[0].ray_bounces
+        assert 80 * 42 < stats.lr_ray_bounces < 80 * 60
+        assert b"ray_bounces" not in bakefile.canonical_bytes()
+
+    def test_point_outside_the_room_refused_before_lr(self, cube_scene,
+                                                      monkeypatch):
+        # 0.5 m outside the 5 m cube: rays that strike the cube's outer
+        # face are mirrored away from it, so every low-order ray escapes.
+        def no_lr(*args):
+            raise AssertionError("a high-order trace ran")
+
+        monkeypatch.setattr(pipeline, "trace_energy_decay", no_lr)
+        pts = short_line(3)
+        pts[2] = (5.5, 2.5, 2.5)
+        with pytest.raises(InputError, match=r"^point 2: 60 of 60 low-order "
+                                             r"rays escaped the scene"):
+            bake(cube_scene, pts, FAST)
+
+    def test_escape_bound_is_a_strict_fraction(self, monkeypatch):
+        # A cube with one face open: some rays escape, some do not. The
+        # point passes at exactly the bound and fails one ray above it.
+        scene = load_scene(open_cube_obj(), default_materials_json(0.2))
+        pts = short_line(1)
+        [res] = trace_segments(scene, pts, FAST.er_trace_config())
+        escaped = int(res.escaped.sum())
+        assert 0 < escaped < FAST.er_rays
+        monkeypatch.setattr(pipeline, "MAX_ESCAPE_FRACTION",
+                            escaped / FAST.er_rays)
+        assert pipeline._mean_free_paths(scene, pts, FAST) == [
+            mfp_from_trace(res).mean_free_path]
+        monkeypatch.setattr(pipeline, "MAX_ESCAPE_FRACTION",
+                            (escaped - 1) / FAST.er_rays)
+        with pytest.raises(InputError, match=f"^point 0: {escaped} of 60 "):
+            pipeline._mean_free_paths(scene, pts, FAST)
 
     def test_clusters_carry_rt60_and_source(self, cube_bake):
         bakefile, _ = cube_bake
@@ -367,12 +407,12 @@ class TestBakeFileFuzz:
 
 class TestBakeStats:
     def test_saved_calls(self):
-        stats = BakeStats(60, 8, 1.0, 10.0)
+        stats = BakeStats(60, 8, 1.0, 10.0, 0)
         assert stats.lr_calls_saved == 52
 
     def test_rejects_more_clusters_than_points(self):
         with pytest.raises(InputError):
-            BakeStats(5, 6, 1.0, 1.0)
+            BakeStats(5, 6, 1.0, 1.0, 0)
 
 
 class TestLookup:

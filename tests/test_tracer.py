@@ -9,9 +9,12 @@ from echobake.errors import InputError, NoCollisionsError
 from echobake.pipeline import BakeConfig, bake, corridor_fixture
 from echobake.scene import load_scene
 from echobake.shapes import cube_obj, default_materials_json
-from echobake.tracer import (PathTraceResult, TraceConfig, _bounce,
-                             segments_csv_text, sphere_directions,
-                             trace_energy_decay, trace_segments)
+from echobake.tracer import (ROULETTE_DB, TraceConfig, _bounce,
+                             roulette_uniforms, segments_csv_text,
+                             sphere_directions, trace_energy_decay,
+                             trace_segments)
+
+from conftest import open_cube_obj
 
 CENTER = (2.5, 2.5, 2.5)
 
@@ -254,16 +257,22 @@ class TestTraceEnergyDecay:
 
     def test_energy_floor_terminates_rays_early(self):
         # At 99 percent absorption each ray is at 1e-2k of its initial
-        # 1e-2 after k bounces, crossing the 1e-12 floor after bounce 6
-        # (energy 1e-14). The bounce budget of 300 is never reached.
+        # 1e-2 after k bounces. Bounce 3 takes it below the roulette cut
+        # (40 dB down, 1e-6), after which it survives each bounce with
+        # p = 0.01, so the bounce budget of 300 is never reached.
         scene = load_scene(cube_obj(5.0), default_materials_json(0.99))
-        cfg = TraceConfig(n_rays=100, n_bounces=300, rng_seed=0)
-        curve = trace_energy_decay(scene, CENTER, cfg)
-        expected = sum(0.01 ** k for k in range(1, 7))
-        assert curve.energies.sum(axis=0) == pytest.approx(
-            np.full(4, expected), rel=1e-12)
+        curve = trace_energy_decay(scene, CENTER, TraceConfig(100, 300, 0))
         # 300 completed bounces would take seconds of path time.
         assert curve.duration_s < 0.5
+        assert curve.ray_bounces < 100 * 10
+        # No draw can touch the deposits up to bounce 3: they are exact.
+        first = trace_energy_decay(scene, CENTER, TraceConfig(100, 3, 0))
+        assert first.ray_bounces == 300
+        assert first.energies.sum(axis=0) == pytest.approx(
+            np.full(4, sum(0.01 ** k for k in range(1, 4))), rel=1e-12)
+        # The roulette's tail is worth about 1e-6 of the total.
+        assert curve.energies.sum(axis=0) == pytest.approx(
+            np.full(4, sum(0.01 ** k for k in range(1, 301))), rel=1e-5)
 
     def test_curve_geometry(self, cube_scene):
         cfg = TraceConfig(n_rays=50, n_bounces=10, rng_seed=0)
@@ -288,6 +297,83 @@ class TestTraceEnergyDecay:
         totals = curve.energies.sum(axis=0)
         assert totals[0] > totals[1] > totals[2]
         assert totals[1] == pytest.approx(totals[3], rel=1e-12)
+
+
+def one_ray_totals(scene, source, config, i):
+    """Per-band energy that ray i alone deposits, traced on its own by the
+    documented rule: attenuate, deposit, then roulette below the cut."""
+    n = config.n_rays
+    cut = 10.0 ** (-ROULETTE_DB / 10.0) / n
+    alpha = scene._alpha[scene._material_ids]
+    origin = np.array([source], dtype=np.float64)
+    d = np.array(sphere_directions(config.rng_seed, n)[i:i + 1])
+    energy = np.full((1, scene.bands.n_bands), 1.0 / n)
+    total = np.zeros(scene.bands.n_bands)
+    for j in range(config.n_bounces):
+        _, hit, ids, origin, d = _bounce(scene, origin, d)
+        if not hit[0]:
+            break
+        energy = energy * (1.0 - alpha[ids])
+        total += energy[0]
+        peak = energy.max()
+        if peak < cut:
+            p = peak / cut
+            if not roulette_uniforms(config.rng_seed, [i], j)[0] < p:
+                break
+            energy = energy / p
+    return total
+
+
+class TestRussianRoulette:
+    def test_draws_depend_only_on_ray_index(self):
+        ids = np.arange(1000)
+        u = roulette_uniforms(7, ids, 12)
+        perm = np.random.default_rng(0).permutation(1000)
+        assert np.array_equal(roulette_uniforms(7, ids[perm], 12), u[perm])
+        assert np.array_equal(roulette_uniforms(7, ids[3::7], 12), u[3::7])
+        assert np.array_equal(roulette_uniforms(7, [41], 12), u[41:42])
+        assert u.min() >= 0.0 and u.max() < 1.0
+        assert abs(u.mean() - 0.5) < 0.05
+        assert not np.array_equal(roulette_uniforms(8, ids, 12), u)
+        assert not np.array_equal(roulette_uniforms(7, ids, 13), u)
+
+    def test_draws_for_large_seeds_and_indices(self):
+        # uint64 wrap-around must not warn, and seeds past 64 bits work.
+        u = roulette_uniforms(2 ** 70 + 3, np.array([2 ** 63 + 1, 0]), 299)
+        assert u.shape == (2,) and np.all((u >= 0.0) & (u < 1.0))
+
+    def test_each_ray_depends_only_on_its_own_index(self):
+        # Rays leave through the open face and others lose the roulette, so
+        # the survivors' positions in the ray set shift every bounce. Each
+        # ray must still draw by its own index, as if traced alone.
+        scene = load_scene(open_cube_obj(), default_materials_json(0.5))
+        cfg = TraceConfig(n_rays=60, n_bounces=40, rng_seed=5)
+        curve = trace_energy_decay(scene, CENTER, cfg)
+        assert curve.ray_bounces < 60 * 40
+        expected = sum(one_ray_totals(scene, CENTER, cfg, i) for i in range(60))
+        assert curve.energies.sum(axis=0) == pytest.approx(expected, rel=1e-12)
+
+    def test_unbiased_over_seeds(self):
+        # At alpha = 0.5 rays cross the cut (1e-4 of their start) at bounce
+        # 14 and play roulette from then on. The total each seed deposits
+        # is random, but its mean is the geometric sum.
+        scene = load_scene(cube_obj(5.0), default_materials_json(0.5))
+        totals = []
+        for seed in range(30):
+            curve = trace_energy_decay(scene, CENTER, TraceConfig(50, 60, seed))
+            assert curve.ray_bounces < 50 * 60
+            totals.append(curve.energies.sum(axis=0)[0])
+        expected = sum(0.5 ** k for k in range(1, 61))
+        sigma = np.std(totals, ddof=1) / math.sqrt(len(totals))
+        assert sigma > 0.0
+        assert abs(np.mean(totals) - expected) <= 4.0 * sigma
+
+    def test_repeat_run_is_bitwise_identical(self, cube_scene):
+        cfg = TraceConfig(n_rays=80, n_bounces=200, rng_seed=4)
+        a = trace_energy_decay(cube_scene, CENTER, cfg)
+        b = trace_energy_decay(cube_scene, CENTER, cfg)
+        assert a.ray_bounces == b.ray_bounces < 80 * 200
+        assert np.array_equal(a.energies, b.energies)
 
 
 def test_segments_csv_round_trip(cube_scene):
