@@ -81,6 +81,11 @@ def wav_read(data: bytes) -> AudioBuffer:
             frames = r.readframes(r.getnframes())
     except (wave.Error, EOFError) as exc:
         raise InputError(f"malformed WAV data: {exc}") from exc
+    except RuntimeError as exc:
+        # The wave module's chunk reader raises a bare RuntimeError when a
+        # chunk declares more bytes than the data holds.
+        raise InputError("malformed WAV data: a chunk is longer than the "
+                         "data that holds it") from exc
     if channels != 1:
         raise InputError(f"only mono WAV is supported, got {channels} channels")
     if width != 2:

@@ -8,8 +8,10 @@ decays at the requested rate regardless of the individual delays.
 `render_path` streams the signal through the bank in blocks of
 `BLOCK_SAMPLES`: every filter carries its delay line from block to block
 and each block computes its own cross-fade gains, so memory beyond the
-output is bounded by the block length. Within a block each filter runs in
-delay-sized slices, bit-identical to the sample-by-sample recurrence.
+output is bounded by the block length. Within a block every filter is
+one recurrence, y[n] = w[n] + g[n] * y[n - d], run over rows of d samples
+that are updated in place, two ufunc calls a row; the output is
+bit-identical to the sample-by-sample recurrence.
 """
 
 from __future__ import annotations
@@ -131,31 +133,46 @@ def params_from_rt60(rt60_s: float, sample_rate: int,
     return ReverbParams(sample_rate, delays, gains, ap, wet_dry_mix)
 
 
-def _feedback_comb(x: np.ndarray, gain: np.ndarray,
+def _feedback_comb(w: np.ndarray, gain: float | np.ndarray,
                    line: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """y[n] = x[n] + g[n] * y[n - d] over one block, whose d prior outputs
-    are `line`; returns the output and the next line. Every y[n - d] that
-    a d-sized slice reads predates the slice, so the vector statement is
-    exactly the scalar recurrence."""
-    d, n = line.size, x.size
-    ypad = np.concatenate([line, np.empty(n)])
-    for i0 in range(0, n, d):
-        i1 = min(i0 + d, n)
-        ypad[d + i0:d + i1] = x[i0:i1] + gain[i0:i1] * ypad[i0:i1]
+    """y[n] = w[n] + g[n] * y[n - d] over one block, whose d prior outputs
+    are `line`; `gain` is a scalar or one value per sample. Returns the
+    output and the next line.
+
+    The padded output is viewed as rows of d samples, so each row reads
+    only the row before it and two in-place ufunc calls compute it; the
+    last partial row is done once after the loop. The product is added to
+    w[n] as the scalar recurrence does, so every sample is bit-identical
+    to it. Only fresh arrays are written, never w, gain or line.
+    """
+    d, n = line.size, w.size
+    g = np.broadcast_to(gain, w.shape)
+    ypad = np.empty(d + n)
+    ypad[:d] = line
+    full = n - n % d
+    rows = ypad[:d + full].reshape(-1, d)
+    for prev, row, w_row, g_row in zip(rows[:-1], rows[1:],
+                                       w[:full].reshape(-1, d),
+                                       g[:full].reshape(-1, d)):
+        np.multiply(prev, g_row, out=row)
+        np.add(w_row, row, out=row)
+    if full < n:
+        row = ypad[d + full:]
+        np.multiply(ypad[full:n], g[full:], out=row)
+        np.add(w[full:], row, out=row)
     return ypad[d:], ypad[n:].copy()
 
 
 def _allpass(x: np.ndarray, line: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """y[n] = -g * x[n] + x[n - d] + g * y[n - d] over one block; `line`
-    holds the d prior inputs and outputs as rows."""
+    holds the d prior inputs and outputs as rows. This is a feedback comb
+    fed with the feed-forward sum, which is computed for the whole block
+    first, as the scalar recurrence adds it before the feedback term."""
     g = DEFAULT_ALLPASS_GAIN
-    d, n = line.shape[1], x.size
+    n = x.size
     xpad = np.concatenate([line[0], x])
-    ypad = np.concatenate([line[1], np.empty(n)])
-    for i0 in range(0, n, d):
-        i1 = min(i0 + d, n)
-        ypad[d + i0:d + i1] = (-g) * x[i0:i1] + xpad[i0:i1] + g * ypad[i0:i1]
-    return ypad[d:], np.stack([xpad[n:], ypad[n:]])
+    y, y_line = _feedback_comb((-g) * x + xpad[:n], g, line[1])
+    return y, np.stack([xpad[n:], y_line])
 
 
 def _comb_gains(ramps: list, n_fade: int, b0: int, b1: int) -> np.ndarray:

@@ -3,7 +3,7 @@ import wave
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from echobake.audio_io import AudioBuffer, wav_read, wav_write
 from echobake.errors import InputError
@@ -118,3 +118,25 @@ class TestWavReadRejections:
             w.writeframes(b"\x80" * 16)
         with pytest.raises(InputError, match="16-bit"):
             wav_read(bio.getvalue())
+
+    def test_chunk_longer_than_data_rejected(self):
+        data = bytearray(wav_write(AudioBuffer(48000, np.zeros(64))))
+        data[16] = 0xF8  # the fmt chunk now claims 248 bytes of 172
+        with pytest.raises(InputError, match="chunk is longer"):
+            wav_read(bytes(data))
+
+    @settings(max_examples=500, deadline=None)
+    @given(edits=st.lists(st.tuples(st.integers(0, 47), st.integers(0, 255)),
+                          min_size=1, max_size=4),
+           cut=st.integers(0, 172))
+    def test_mutated_header_raises_only_input_error(self, edits, cut):
+        # Any header bytes, and any truncation, either decode to an
+        # AudioBuffer or raise InputError; nothing else may escape.
+        data = bytearray(wav_write(AudioBuffer(48000, np.zeros(64))))
+        for pos, byte in edits:
+            data[pos] = byte
+        try:
+            buf = wav_read(bytes(data[:cut or None]))
+        except InputError:
+            return
+        assert isinstance(buf, AudioBuffer)

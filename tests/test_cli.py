@@ -233,6 +233,17 @@ class TestRender:
         assert code == 2
         assert "17639 bytes" in capsys.readouterr().err
 
+    def test_wav_chunk_longer_than_file(self, workdir, baked, capsys):
+        bad = workdir / "bad_chunk.wav"
+        data = bytearray((workdir / "dry.wav").read_bytes())
+        data[16] = 0xF8
+        bad.write_bytes(bytes(data))
+        code = main(["render", "--bake", str(baked), "--dry", str(bad),
+                     "--schedule", str(workdir / "schedule.csv"),
+                     "--out", str(workdir / "x.wav")])
+        assert code == 2
+        assert "chunk is longer" in capsys.readouterr().err
+
     def test_bad_schedule_row_names_line(self, workdir, baked, capsys):
         bad = workdir / "bad_row.csv"
         bad.write_text("t_start_s,sample_index\n0.0,0\n0.1,x\n")

@@ -267,6 +267,64 @@ class TestFilterKernels:
         assert np.array_equal(comb_line, comb(x, delay, g)[-delay:])
 
 
+def recurrence_reference(w, gain, line):
+    """y[n] = w[n] + g[n] * y[n - d], one sample at a time, after the d
+    prior outputs in `line`."""
+    d = line.size
+    y = list(line) + [0.0] * w.size
+    for n in range(w.size):
+        g = gain[n] if np.ndim(gain) else gain
+        y[d + n] = w[n] + g * y[n]
+    return np.array(y[d:]), np.array(y[w.size:])
+
+
+def read_only(a):
+    a = np.array(a, dtype=np.float64)
+    a.setflags(write=False)
+    return a
+
+
+class TestRowRecurrence:
+    """`_feedback_comb` runs both filters' recurrence in rows of d samples
+    written in place; the block edge cases of that row split."""
+
+    # (block length, delay): whole rows only, one short row, exactly one
+    # row, one-sample rows, and a partial last row.
+    CASES = [(300, 60), (50, 60), (60, 60), (100, 1), (250, 60)]
+
+    @pytest.mark.parametrize("n, delay", CASES)
+    @pytest.mark.parametrize("per_sample", [False, True])
+    def test_matches_reference_and_writes_no_input(self, n, delay, per_sample):
+        rng = np.random.default_rng(n * delay)
+        x = read_only(rng.standard_normal(n))
+        gain = (read_only(np.linspace(0.9, 0.4, n)) if per_sample
+                else 0.73)
+        line = read_only(rng.standard_normal(delay))
+        y, nxt = _feedback_comb(x, gain, line)
+        ref_y, ref_line = recurrence_reference(x, gain, line)
+        assert np.array_equal(y, ref_y)
+        assert np.array_equal(nxt, ref_line)
+        for out in (y, nxt):
+            for arg in (x, gain, line):
+                assert not np.shares_memory(out, arg)
+        assert not np.shares_memory(y, nxt)
+
+    @pytest.mark.parametrize("n, delay", CASES)
+    def test_allpass_with_prior_state(self, n, delay):
+        rng = np.random.default_rng(n + delay)
+        x = read_only(rng.standard_normal(n))
+        line = read_only(rng.standard_normal((2, delay)))
+        g = DEFAULT_ALLPASS_GAIN
+        y, nxt = _allpass(x, line)
+        xpad = np.concatenate([line[0], x])
+        ref_y, ref_y_line = recurrence_reference(
+            np.array([-g * x[i] + xpad[i] for i in range(n)]), g, line[1])
+        assert np.array_equal(y, ref_y)
+        assert np.array_equal(nxt, np.stack([xpad[n:], ref_y_line]))
+        assert not np.shares_memory(y, x) and not np.shares_memory(y, line)
+        assert not np.shares_memory(nxt, x) and not np.shares_memory(nxt, line)
+
+
 class TestRenderReverb:
     """The plain reverberator: render_path on one cluster."""
 
