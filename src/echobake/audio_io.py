@@ -9,6 +9,7 @@ resampled or converted.
 from __future__ import annotations
 
 import io
+import math
 import wave
 import warnings
 from dataclasses import dataclass
@@ -18,6 +19,8 @@ import numpy as np
 from .errors import InputError
 
 _PCM_SCALE = 32767.0
+# Samples scaled and cast per step of wav_write.
+_CHUNK = 65_536
 
 
 @dataclass(frozen=True)
@@ -33,7 +36,10 @@ class AudioBuffer:
         arr = np.asarray(self.samples, dtype=np.float64)
         if arr.ndim != 1:
             raise InputError("audio must be mono (1-D sample array)")
-        if arr.size and not np.all(np.isfinite(arr)):
+        # min and max propagate NaN and meet any infinity, so this checks
+        # every sample without a whole-signal temporary.
+        if arr.size and not (math.isfinite(arr.min())
+                             and math.isfinite(arr.max())):
             raise InputError("audio contains non-finite samples")
         object.__setattr__(self, "samples", arr)
 
@@ -42,7 +48,9 @@ class AudioBuffer:
         return self.samples.size / self.sample_rate
 
     def peak(self) -> float:
-        return float(np.max(np.abs(self.samples))) if self.samples.size else 0.0
+        """Largest |sample|: the larger magnitude of the two extremes."""
+        x = self.samples
+        return max(abs(float(x.max())), abs(float(x.min()))) if x.size else 0.0
 
 
 def wav_write(buf: AudioBuffer) -> bytes:
@@ -53,21 +61,28 @@ def wav_write(buf: AudioBuffer) -> bytes:
     """
     x = buf.samples
     peak = buf.peak()
-    if peak > 1.0:
+    clip = peak > 1.0
+    if clip:
         warnings.warn(f"clipping audio: peak {peak:.3f} exceeds full scale",
                       stacklevel=2)
-        x = np.clip(x, -1.0, 1.0)
-    # Scale and round in one float buffer, freed before the bytes are
-    # built, so a long signal needs one whole-signal temporary here, not two.
-    scaled = x * _PCM_SCALE
-    ints = np.round(scaled, out=scaled).astype("<i2")
-    del scaled
+    # Clip, scale and round one chunk at a time in one float buffer, and
+    # cast each chunk into the one PCM array, so no float temporary is as
+    # long as the signal.
+    ints = np.empty(x.size, dtype="<i2")
+    scratch = np.empty(min(x.size, _CHUNK))
+    for c0 in range(0, x.size, _CHUNK):
+        part = x[c0:c0 + _CHUNK]
+        f = scratch[:part.size]
+        if clip:
+            part = np.clip(part, -1.0, 1.0, out=f)
+        np.multiply(part, _PCM_SCALE, out=f)
+        ints[c0:c0 + f.size] = np.round(f, out=f)
     bio = io.BytesIO()
     with wave.open(bio, "wb") as w:
         w.setnchannels(1)
         w.setsampwidth(2)
         w.setframerate(buf.sample_rate)
-        w.writeframes(ints.tobytes())
+        w.writeframes(ints)
     return bio.getvalue()
 
 
@@ -93,5 +108,7 @@ def wav_read(data: bytes) -> AudioBuffer:
     if len(frames) % 2:
         raise InputError(f"WAV sample data is {len(frames)} bytes, not a whole "
                          "number of 16-bit samples; the file may be truncated")
-    samples = np.frombuffer(frames, dtype="<i2").astype(np.float64) / _PCM_SCALE
+    # One pass and one float array: the cast happens inside the division.
+    samples = np.divide(np.frombuffer(frames, dtype="<i2"), _PCM_SCALE,
+                        dtype=np.float64)
     return AudioBuffer(rate, samples)

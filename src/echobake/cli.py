@@ -30,7 +30,7 @@ from .tracer import TraceConfig, segments_csv_text, trace_energy_decay, trace_se
 def _read(path: str) -> str:
     try:
         return pathlib.Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 

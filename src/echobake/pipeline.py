@@ -189,7 +189,9 @@ class BakeFile:
     def from_json(cls, data: bytes | str) -> "BakeFile":
         try:
             doc = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError also covers undecodable bytes and integers past
+            # Python's digit limit; RecursionError, nesting too deep.
             raise InputError(f"bake file is not valid JSON: {exc}") from exc
         # Constructors check the values; left are missing keys and wrong containers.
         part = "bake file"

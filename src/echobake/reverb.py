@@ -7,10 +7,12 @@ decays at the requested rate regardless of the individual delays.
 
 `render_path` streams the signal through the bank in blocks of
 `BLOCK_SAMPLES`: every filter carries its delay line from block to block
-and each block computes its own cross-fade gains, so memory beyond the
-output is bounded by the block length. Within a block every filter is
-one recurrence, y[n] = w[n] + g[n] * y[n - d], run over rows of d samples
-that are updated in place, two ufunc calls a row; the output is
+and each block computes its own cross-fade gains. Working memory beyond
+the input and the output is a fixed set of block buffers allocated once
+per render, and the output is allocated once and filled block by block.
+Within a block every filter is one recurrence,
+y[n] = w[n] + g[n] * y[n - d], run in place in the filter's own buffer
+over rows of d samples, two ufunc calls a row; the output is
 bit-identical to the sample-by-sample recurrence.
 """
 
@@ -134,21 +136,22 @@ def params_from_rt60(rt60_s: float, sample_rate: int,
 
 
 def _feedback_comb(w: np.ndarray, gain: float | np.ndarray,
-                   line: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """y[n] = w[n] + g[n] * y[n - d] over one block, whose d prior outputs
-    are `line`; `gain` is a scalar or one value per sample. Returns the
-    output and the next line.
+                   ypad: np.ndarray) -> np.ndarray:
+    """y[n] = w[n] + g[n] * y[n - d] over one block of w.size samples,
+    computed in place in `ypad`, a contiguous buffer of d + w.size samples
+    whose head holds the d prior outputs; `gain` is a scalar or one value
+    per sample. On return the head holds the block's last d outputs, and
+    the block's outputs are returned as the view ypad[d:].
 
-    The padded output is viewed as rows of d samples, so each row reads
-    only the row before it and two in-place ufunc calls compute it; the
-    last partial row is done once after the loop. The product is added to
-    w[n] as the scalar recurrence does, so every sample is bit-identical
-    to it. Only fresh arrays are written, never w, gain or line.
+    The output is viewed as rows of d samples, so each row reads only the
+    row before it and two in-place ufunc calls compute it; the last
+    partial row is done once after the loop. The product is added to w[n]
+    as the scalar recurrence does, so every sample is bit-identical to it.
+    Only `ypad` is written; w and gain must not share memory with it.
     """
-    d, n = line.size, w.size
+    n = w.size
+    d = ypad.size - n
     g = np.broadcast_to(gain, w.shape)
-    ypad = np.empty(d + n)
-    ypad[:d] = line
     full = n - n % d
     rows = ypad[:d + full].reshape(-1, d)
     for prev, row, w_row, g_row in zip(rows[:-1], rows[1:],
@@ -160,27 +163,36 @@ def _feedback_comb(w: np.ndarray, gain: float | np.ndarray,
         row = ypad[d + full:]
         np.multiply(ypad[full:n], g[full:], out=row)
         np.add(w[full:], row, out=row)
-    return ypad[d:], ypad[n:].copy()
+    # The head and the returned view do not overlap, so the view survives.
+    ypad[:d] = ypad[n:]
+    return ypad[d:]
 
 
-def _allpass(x: np.ndarray, line: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """y[n] = -g * x[n] + x[n - d] + g * y[n - d] over one block; `line`
-    holds the d prior inputs and outputs as rows. This is a feedback comb
-    fed with the feed-forward sum, which is computed for the whole block
-    first, as the scalar recurrence adds it before the feedback term."""
+def _allpass(x: np.ndarray, state: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """y[n] = -g * x[n] + x[n - d] + g * y[n - d] over one block, in place
+    in `state`, a (2, d + x.size) buffer whose rows hold the inputs and the
+    outputs, each with its d prior values at the head. This is a feedback
+    comb fed with the feed-forward sum, which is computed for the whole
+    block first into the scratch `w` (x.size samples), as the scalar
+    recurrence adds it before the feedback term. Returns the outputs as a
+    view of state[1]."""
     g = DEFAULT_ALLPASS_GAIN
     n = x.size
-    xpad = np.concatenate([line[0], x])
-    y, y_line = _feedback_comb((-g) * x + xpad[:n], g, line[1])
-    return y, np.stack([xpad[n:], y_line])
+    xpad = state[0]
+    d = xpad.size - n
+    xpad[d:] = x
+    np.multiply(x, -g, out=w)
+    np.add(w, xpad[:n], out=w)
+    xpad[:d] = xpad[n:]
+    return _feedback_comb(w, g, state[1])
 
 
-def _comb_gains(ramps: list, n_fade: int, b0: int, b1: int) -> np.ndarray:
-    """Comb gains for samples [b0, b1), one row per comb. `ramps` lists
-    (start sample, old, new) in schedule order, gains as (4, 1) columns;
-    each moves linearly from old to new over `n_fade` samples, then holds
-    until a later one starts."""
-    g = np.empty((ramps[0][1].shape[0], b1 - b0))
+def _comb_gains(ramps: list, n_fade: int, b0: int, g: np.ndarray) -> np.ndarray:
+    """Fill `g` with the comb gains for samples [b0, b0 + g.shape[1]), one
+    row per comb, and return it. `ramps` lists (start sample, old, new) in
+    schedule order, gains as (4, 1) columns; each moves linearly from old
+    to new over `n_fade` samples, then holds until a later one starts."""
+    b1 = b0 + g.shape[1]
     first = max(i for i, r in enumerate(ramps) if r[0] <= b0)
     for s, old, new in ramps[first:]:
         if s >= b1:
@@ -271,14 +283,29 @@ def render_path(dry: AudioBuffer, cmap: ClusterMap,
     ramps = [(0, gains[0], gains[0])]
     for t, new in zip(times[1:], gains[1:]):
         s = int(round(t * fs))
-        old = _comb_gains(ramps, n_fade, max(s - 1, 0), max(s, 1))
+        old = _comb_gains(ramps, n_fade, max(s - 1, 0), np.empty(new.shape))
         ramps.append((s, old, new))
 
-    n_dry = x_dry.size
+    n_dry, block = x_dry.size, BLOCK_SAMPLES
     limit = n_dry + int(MAX_TAIL_S * fs)
-    comb_lines = [np.zeros(d) for d in plist[0].comb_delays]
-    allpass_lines = [np.zeros((2, d)) for d in plist[0].allpass_delays]
-    blocks = [x_dry[:0]]  # so an empty input renders empty
+    # Every buffer is allocated here, once: each filter's d-sample delay
+    # line sits at the head of a buffer with room for one block after it.
+    comb_delays, allpass_delays = plist[0].comb_delays, plist[0].allpass_delays
+    combs = [np.zeros(d + block) for d in comb_delays]
+    allpasses = [np.zeros((2, d + block)) for d in allpass_delays]
+    comb_lines = [c[:d] for c, d in zip(combs, comb_delays)]
+    allpass_lines = [a[:, :d] for a, d in zip(allpasses, allpass_delays)]
+    x_buf, acc_buf, scratch = np.empty(block), np.empty(block), np.empty(block)
+    g_buf = np.empty((len(comb_delays), block))
+    above = np.empty(block, dtype=bool)
+    # The output grows by a block at a time only while the tail outruns
+    # it, through ndarray.resize (a realloc); concatenating blocks would
+    # hold two copies of it at once. It is sized by a resize too: numpy
+    # advises huge pages for a large fresh array, and on Linux 6.18 a
+    # realloc that moved such an array raised the peak RSS by its whole
+    # size, where a realloc of an unadvised one only remapped its pages.
+    out = np.empty(0)
+    out.resize(min(n_dry + block, limit))
     b0 = cut = 0
     while b0 < n_dry or _tail_bound(comb_lines, allpass_lines) >= TAIL_FLOOR:
         if b0 >= limit:
@@ -286,21 +313,30 @@ def render_path(dry: AudioBuffer, cmap: ClusterMap,
                 f"reverb tail exceeds {MAX_TAIL_S:.0f} s past the input; "
                 "check the requested rt60"
             )
-        b1 = min(b0 + BLOCK_SAMPLES, limit)
+        b1 = min(b0 + block, limit)
+        n = b1 - b0
+        if b1 > out.size:
+            out.resize(min(out.size + block, limit))
         part = x_dry[b0:b1]
-        x = np.pad(part, (0, b1 - b0 - part.size))
-        wet = np.zeros(b1 - b0)
-        for k, g in enumerate(_comb_gains(ramps, n_fade, b0, b1)):
-            y, comb_lines[k] = _feedback_comb(x, g, comb_lines[k])
-            wet += y
+        x = x_buf[:n]
+        x[:part.size] = part
+        x[part.size:] = 0.0
+        wet = acc_buf[:n]
+        wet.fill(0.0)
+        gains = _comb_gains(ramps, n_fade, b0, g_buf[:, :n])
+        for c, d, g in zip(combs, comb_delays, gains):
+            wet += _feedback_comb(x, g, c[:d + n])
         wet *= _COMB_SCALE
-        for k, line in enumerate(allpass_lines):
-            wet, allpass_lines[k] = _allpass(wet, line)
-        above = np.flatnonzero(np.abs(wet) >= TAIL_FLOOR)
-        if above.size:
-            cut = b0 + int(above[-1]) + 1
-        wet *= wet_dry_mix
-        wet[:part.size] += (1.0 - wet_dry_mix) * part
-        blocks.append(wet)
+        for a, d in zip(allpasses, allpass_delays):
+            wet = _allpass(wet, a[:, :d + n], scratch[:n])
+        mag = np.abs(wet, out=scratch[:n])
+        hits = np.greater_equal(mag, TAIL_FLOOR, out=above[:n])[::-1]
+        last = int(hits.argmax())
+        if hits[last]:
+            cut = b1 - last
+        np.multiply(wet, wet_dry_mix, out=out[b0:b1])
+        dry_part = np.multiply(part, 1.0 - wet_dry_mix, out=scratch[:part.size])
+        out[b0:b0 + part.size] += dry_part
         b0 = b1
-    return AudioBuffer(fs, np.concatenate(blocks)[:max(n_dry, cut)])
+    out.resize(max(n_dry, cut))
+    return AudioBuffer(fs, out)

@@ -10,7 +10,8 @@ watertight mesh.
 
 Supported mesh text, line by line:
 
-* ``v x y z`` vertex position
+* ``v x y z`` vertex position in metres, each coordinate within
+  ``MAX_COORDINATE_M`` of the origin
 * ``f i j k`` triangular face, 1-based vertex indices (``i/..`` forms are
   accepted and only the position index is used)
 * ``usemtl name`` material for subsequent faces
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -49,6 +49,10 @@ DEFAULT_BAND_EDGES = (0.0, 176.0, 775.0, 3408.0, 22050.0)
 
 _IGNORED_KEYWORDS = {"o", "g", "s", "mtllib", "vn", "vt"}
 _MIN_TRIANGLE_AREA = 1e-12
+# No room is 1,000 km across. The bound keeps every product of coordinates
+# that the scene and the tracer form (up to third powers) far inside the
+# float64 range; near 1e154 m a triangle's cross product overflows.
+MAX_COORDINATE_M = 1e6
 
 
 @dataclass(frozen=True)
@@ -100,7 +104,9 @@ def parse_materials(text: str) -> tuple[BandLayout, list[Material]]:
     """Parse the JSON material table. Returns (band layout, materials)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers integers past Python's digit limit, and
+        # RecursionError arrays nested past the decoder's depth.
         raise MaterialError(f"material table is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "materials" not in doc:
         raise MaterialError('material table must be an object with a "materials" key')
@@ -156,8 +162,10 @@ def parse_mesh(text: str) -> tuple[np.ndarray, list[tuple[int, int, int]], list[
                 vertex = (float(fields[0]), float(fields[1]), float(fields[2]))
             except ValueError:
                 raise MeshParseError(f"line {line_no}: bad vertex coordinate") from None
-            if not all(math.isfinite(c) for c in vertex):
-                raise MeshParseError(f"line {line_no}: vertex coordinates must be finite")
+            if not all(abs(c) <= MAX_COORDINATE_M for c in vertex):
+                raise MeshParseError(
+                    f"line {line_no}: vertex coordinates must be finite and "
+                    f"within {MAX_COORDINATE_M:g} m of the origin")
             vertices.append(vertex)
         elif keyword == "f":
             if len(fields) != 3:

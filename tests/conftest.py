@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from echobake.perception import Cluster, ClusterMap
 from echobake.scene import load_scene
@@ -62,3 +63,31 @@ def random_rays(scene, n, seed):
     dirs = rng.standard_normal((n, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     return origins, dirs
+
+
+# What a text mutation may insert: the parsers' separators and keywords,
+# numbers at and past float64's limits (1e155 squared overflows), a digit
+# run past Python's int-string limit, JSON punctuation, and any character.
+_PIECES = ["", ",", " ", "\n", "\t", "#", "/", ".", "-", "e", "0", "9", "nan",
+           "inf", "-inf", "1e308", "-1e200", "1e155", "5e-324", "9" * 5000,
+           "v ", "f ", "usemtl ", "[", "]", "{", "}", '"', ":", "null", "true",
+           "\u0661", "\x00"]
+
+
+def text_edits(binary=False):
+    """Up to four edits (position, inserted piece, characters removed), of
+    str, or of bytes, which may also leave invalid UTF-8."""
+    if binary:
+        piece = st.sampled_from([p.encode() for p in _PIECES]) | st.binary(max_size=3)
+    else:
+        piece = st.sampled_from(_PIECES) | st.text(max_size=3)
+    return st.lists(st.tuples(st.integers(0, 1 << 20), piece,
+                              st.integers(0, 8)), min_size=1, max_size=4)
+
+
+def apply_edits(data, edits):
+    """Apply text_edits to a str or bytes; positions wrap."""
+    for pos, piece, removed in edits:
+        i = pos % (len(data) + 1)
+        data = data[:i] + piece + data[i + removed:]
+    return data

@@ -1,11 +1,14 @@
 import io
+import math
+import tracemalloc
+import warnings
 import wave
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from echobake.audio_io import AudioBuffer, wav_read, wav_write
+from echobake.audio_io import _CHUNK, AudioBuffer, wav_read, wav_write
 from echobake.errors import InputError
 
 QUANT = 1.0 / 32767.0
@@ -39,6 +42,84 @@ class TestAudioBuffer:
     def test_rejects_bad_rate(self):
         with pytest.raises(InputError):
             AudioBuffer(0, np.zeros(10))
+
+
+class TestWithoutWholeSignalTemporaries:
+    """The peak, the finiteness check and the chunked encoding give the
+    same bits as the whole-signal forms they replace."""
+
+    @pytest.mark.parametrize("scale", [0.15, 0.9])
+    def test_same_bits_and_warning_as_whole_signal_forms(self, scale):
+        # Three chunks and a partial one; 0.9 clips, 0.15 does not.
+        x = np.random.default_rng(12).standard_normal(3 * _CHUNK + 123) * scale
+        x[[0, 5, -1]] = [-0.0, 0.0, -0.0]
+        buf = AudioBuffer(48000, x)
+        peak = float(np.max(np.abs(x)))
+        assert buf.peak() == peak
+        if peak > 1.0:
+            with pytest.warns(UserWarning) as caught:
+                data = wav_write(buf)
+            assert [str(w.message) for w in caught] == [
+                f"clipping audio: peak {peak:.3f} exceeds full scale"]
+        else:
+            data = wav_write(buf)
+        ints = np.round(np.clip(x, -1.0, 1.0) * 32767.0).astype("<i2")
+        assert data[44:] == ints.tobytes()
+        back = wav_read(data)
+        assert np.array_equal(back.samples, ints.astype(np.float64) / 32767.0)
+
+    def test_peak_is_the_magnitude_exactly(self):
+        assert AudioBuffer(8000, np.array([0.1, -0.7, 0.3])).peak() == 0.7
+        zero = AudioBuffer(8000, np.array([-0.0, -0.0])).peak()
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 777, -1])
+    def test_rejects_any_non_finite_sample(self, bad, where):
+        x = np.linspace(-1.0, 1.0, 1000)
+        x[where] = bad
+        with pytest.raises(InputError, match="finite"):
+            AudioBuffer(8000, x)
+
+    def test_rejects_both_infinities_and_float_max_is_finite(self):
+        with pytest.raises(InputError, match="finite"):
+            AudioBuffer(8000, np.array([np.inf, 0.0, -np.inf]))
+        big = np.finfo(np.float64).max
+        assert AudioBuffer(8000, np.array([big, -big])).peak() == big
+
+
+class TestWavMemory:
+    """tracemalloc peaks of a 10 s, 48 kHz encode and decode."""
+
+    N = 10 * 48000
+
+    @pytest.mark.parametrize("scale", [0.1, 2.0])
+    def test_wav_write_holds_the_pcm_twice_and_one_chunk(self, scale):
+        buf = AudioBuffer(48000, np.random.default_rng(13).standard_normal(
+            self.N) * scale)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                wav_write(buf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The PCM array and the encoded bytes, plus one chunk of floats.
+        assert peak <= 2 * (2 * self.N) + 8 * _CHUNK + 64 * 1024
+
+    def test_wav_read_holds_the_frames_and_one_float_array(self):
+        data = wav_write(AudioBuffer(48000, np.random.default_rng(14)
+                                     .standard_normal(self.N) * 0.1))
+        tracemalloc.start()
+        try:
+            back = wav_read(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.samples.size == self.N
+        # The frames, the float result and the ufunc's fixed cast buffer.
+        assert peak <= 2 * self.N + back.samples.nbytes + 128 * 1024
 
 
 class TestWavRoundTrip:

@@ -3,12 +3,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from echobake.audio_io import AudioBuffer, wav_read, wav_write
-from echobake.cli import main
+from echobake.cli import _read_schedule_csv, main
+from echobake.errors import InputError
 from echobake.pipeline import BakeFile
 from echobake.shapes import cube_obj, default_materials_json
 
+from conftest import apply_edits, text_edits
 from corridor_geometry import corridor_obj, path_csv_text
 
 BAKE_SPEED = ["--er-rays", "60", "--er-bounces", "10",
@@ -261,6 +264,30 @@ class TestRender:
                      "--schedule", str(bad), "--out", str(workdir / "x.wav")])
         assert code == 2
         assert "t_start_s,sample_index" in capsys.readouterr().err
+
+    def test_schedule_that_is_not_utf8(self, workdir, baked, capsys):
+        bad = workdir / "latin1_schedule.csv"
+        bad.write_bytes(b"t_start_s,sample_index\n0.0,0\n0.1,\xb3\n")
+        code = main(["render", "--bake", str(baked),
+                     "--dry", str(workdir / "dry.wav"),
+                     "--schedule", str(bad), "--out", str(workdir / "x.wav")])
+        assert code == 2
+        assert "latin1_schedule.csv" in capsys.readouterr().err
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=text_edits(binary=True))
+    def test_mutated_schedule_raises_only_input_error(self, tmp_path, edits):
+        # The reader gets the file's bytes, which may not be UTF-8.
+        path = tmp_path / "schedule.csv"
+        path.write_bytes(apply_edits(
+            b"t_start_s,sample_index\n0.0,0\n0.25,3\n1.5,7\n", edits))
+        try:
+            rows = _read_schedule_csv(str(path))
+        except InputError:
+            return
+        assert rows and all(isinstance(t, float) and isinstance(i, int)
+                            for t, i in rows)
 
 
 class TestMfp:

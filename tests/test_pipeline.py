@@ -20,7 +20,7 @@ from echobake.scene import load_scene
 from echobake.shapes import default_materials_json
 from echobake.tracer import trace_segments
 
-from conftest import open_cube_obj
+from conftest import apply_edits, open_cube_obj, text_edits
 from corridor_geometry import corridor_obj, corridor_path, path_csv_text
 
 FAST = BakeConfig(er_rays=60, er_bounces=10, lr_rays=80, lr_bounces=60)
@@ -405,6 +405,15 @@ class TestBakeFileFuzz:
             pass
 
 
+    @pytest.mark.parametrize("data", ["[" * 100_000, '{"schema": ' + "1" * 5000 + "}",
+                                      b'{"schema": "\xff"}'])
+    def test_json_past_the_decoder_limits(self, data):
+        # Nesting past the decoder's recursion depth, an integer past
+        # Python's digit limit, and bytes that are not UTF-8 raised
+        # RecursionError, ValueError and UnicodeDecodeError.
+        with pytest.raises(InputError, match="not valid JSON"):
+            BakeFile.from_json(data)
+
 class TestBakeStats:
     def test_saved_calls(self):
         stats = BakeStats(60, 8, 1.0, 10.0, 0)
@@ -532,6 +541,17 @@ class TestParsePathCsv:
     def test_rejects_malformed(self, text, message):
         with pytest.raises(InputError, match=f"p.csv: .*{message}"):
             parse_path_csv(text, "p.csv")
+
+    @settings(max_examples=400, deadline=None)
+    @given(edits=text_edits())
+    def test_mutated_csv_raises_only_input_error(self, edits):
+        text = apply_edits(pipeline._fixture_text("corridor_path.csv"), edits)
+        try:
+            pts = parse_path_csv(text, "p.csv")
+        except InputError:
+            return
+        assert pts.ndim == 2 and pts.shape[1] == 3 and pts.shape[0] >= 1
+        assert np.isfinite(pts).all()
 
 
 class TestCorridorFixture:

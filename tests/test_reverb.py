@@ -1,5 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,43 @@ from echobake.reverb import (ALLPASS_DELAYS_MS, COMB_DELAYS_MS,
                              render_path)
 
 FS = 44100
+
+
+def _has_vmhwm():
+    try:
+        with open("/proc/self/status") as f:
+            return "VmHWM:" in f.read()
+    except OSError:
+        return False
+
+
+# Run by test_process_peak_is_input_plus_output in a fresh interpreter.
+_PEAK_CHILD = """
+import json
+import numpy as np
+from conftest import baked_map
+from echobake.audio_io import AudioBuffer, wav_write
+from echobake.reverb import render_path
+
+def _vmhwm_bytes():
+    with open("/proc/self/status") as f:
+        for line in f:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) * 1024
+
+base = _vmhwm_bytes()
+x = np.random.default_rng(3).standard_normal(60 * 48000)
+x *= 0.05
+out = render_path(AudioBuffer(48000, x), baked_map([1.5, 2.5]),
+                  [(0.0, 0), (30.0, 1)])
+after_render = _vmhwm_bytes()
+wav = wav_write(out)
+print(json.dumps({"base": base, "input": x.nbytes,
+                  "output": out.samples.nbytes, "pcm": len(wav),
+                  "tail": out.samples.size - x.size,
+                  "after_render": after_render,
+                  "after_write": _vmhwm_bytes()}))
+"""
 
 
 def comb_reference(x, delay, gain):
@@ -42,11 +84,11 @@ def allpass_reference(x, delay, gain):
 def comb(x, delay, gain):
     """One pass of the block kernel from an empty delay line."""
     gains = np.broadcast_to(np.asarray(gain, dtype=np.float64), x.shape)
-    return _feedback_comb(x, gains, np.zeros(delay))[0]
+    return _feedback_comb(x, gains, np.zeros(delay + x.size))
 
 
 def allpass(x, delay):
-    return _allpass(x, np.zeros((2, delay)))[0]
+    return _allpass(x, np.zeros((2, delay + x.size)), np.empty(x.size))
 
 
 def impulse(n=2048):
@@ -255,16 +297,20 @@ class TestFilterKernels:
         x = rng.standard_normal(3000)
         g = np.linspace(0.95, 0.5, 3000)
         cuts = [0, 1, 2, 30, 31, 400, 1777, 1800, 3000]
-        comb_line, ap_line = np.zeros(delay), np.zeros((2, delay))
+        # One buffer per filter, sized for the longest block, as render_path
+        # allocates them; each block's outputs are read before the next call.
+        comb_buf, ap_buf = np.zeros(delay + 1777), np.zeros((2, delay + 1777))
+        w = np.empty(1777)
         comb_out, ap_out = [], []
         for b0, b1 in zip(cuts, cuts[1:]):
-            y, comb_line = _feedback_comb(x[b0:b1], g[b0:b1], comb_line)
-            comb_out.append(y)
-            y, ap_line = _allpass(x[b0:b1], ap_line)
-            ap_out.append(y)
+            n = b1 - b0
+            comb_out.append(_feedback_comb(x[b0:b1], g[b0:b1],
+                                           comb_buf[:delay + n]).copy())
+            ap_out.append(_allpass(x[b0:b1], ap_buf[:, :delay + n],
+                                   w[:n]).copy())
         assert np.array_equal(np.concatenate(comb_out), comb(x, delay, g))
         assert np.array_equal(np.concatenate(ap_out), allpass(x, delay))
-        assert np.array_equal(comb_line, comb(x, delay, g)[-delay:])
+        assert np.array_equal(comb_buf[:delay], comb(x, delay, g)[-delay:])
 
 
 def recurrence_reference(w, gain, line):
@@ -286,7 +332,8 @@ def read_only(a):
 
 class TestRowRecurrence:
     """`_feedback_comb` runs both filters' recurrence in rows of d samples
-    written in place; the block edge cases of that row split."""
+    written in place in the filter's own buffer; the block edge cases of
+    that row split."""
 
     # (block length, delay): whole rows only, one short row, exactly one
     # row, one-sample rows, and a partial last row.
@@ -300,14 +347,18 @@ class TestRowRecurrence:
         gain = (read_only(np.linspace(0.9, 0.4, n)) if per_sample
                 else 0.73)
         line = read_only(rng.standard_normal(delay))
-        y, nxt = _feedback_comb(x, gain, line)
+        ypad = np.empty(delay + n)
+        ypad[:delay] = line
+        y = _feedback_comb(x, gain, ypad)
         ref_y, ref_line = recurrence_reference(x, gain, line)
         assert np.array_equal(y, ref_y)
-        assert np.array_equal(nxt, ref_line)
-        for out in (y, nxt):
-            for arg in (x, gain, line):
-                assert not np.shares_memory(out, arg)
-        assert not np.shares_memory(y, nxt)
+        assert np.array_equal(ypad[:delay], ref_line)
+        # The outputs are the buffer's tail, clear of the new line at its
+        # head, and of every input.
+        assert np.shares_memory(y, ypad[delay:]) and y.size == n
+        assert not np.shares_memory(y, ypad[:delay])
+        for arg in (x, gain, line):
+            assert not np.shares_memory(ypad, arg)
 
     @pytest.mark.parametrize("n, delay", CASES)
     def test_allpass_with_prior_state(self, n, delay):
@@ -315,14 +366,21 @@ class TestRowRecurrence:
         x = read_only(rng.standard_normal(n))
         line = read_only(rng.standard_normal((2, delay)))
         g = DEFAULT_ALLPASS_GAIN
-        y, nxt = _allpass(x, line)
+        state = np.empty((2, delay + n))
+        state[:, :delay] = line
+        w = np.empty(n)
+        y = _allpass(x, state, w)
         xpad = np.concatenate([line[0], x])
         ref_y, ref_y_line = recurrence_reference(
             np.array([-g * x[i] + xpad[i] for i in range(n)]), g, line[1])
         assert np.array_equal(y, ref_y)
-        assert np.array_equal(nxt, np.stack([xpad[n:], ref_y_line]))
-        assert not np.shares_memory(y, x) and not np.shares_memory(y, line)
-        assert not np.shares_memory(nxt, x) and not np.shares_memory(nxt, line)
+        assert np.array_equal(state[:, :delay], np.stack([xpad[n:], ref_y_line]))
+        assert np.shares_memory(y, state[1, delay:]) and y.size == n
+        assert not np.shares_memory(y, state[:, :delay])
+        for arg in (x, line):
+            assert not np.shares_memory(state, arg)
+            assert not np.shares_memory(w, arg)
+        assert not np.shares_memory(y, w)
 
 
 class TestRenderReverb:
@@ -520,9 +578,13 @@ class TestStreamedRender:
 
     @pytest.mark.parametrize("seconds", [10, 60])
     def test_peak_memory_is_bounded_by_the_output(self, seconds):
+        # Beyond the output, the render holds a fixed set of block buffers
+        # (about 16 blocks), whatever the length; one more copy of a 60 s
+        # output would be 44 blocks.
         fs = 48000
-        dry = AudioBuffer(fs, np.random.default_rng(9).standard_normal(
-            seconds * fs) * 0.1)
+        x = np.random.default_rng(9).standard_normal(seconds * fs)
+        x *= 0.1
+        dry = AudioBuffer(fs, x)
         cmap = baked_map([1.0, 1.5])
         tracemalloc.start()
         try:
@@ -530,7 +592,48 @@ class TestStreamedRender:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * out.samples.nbytes
+        assert out.samples.size > x.size + reverb.BLOCK_SAMPLES
+        assert peak - out.samples.nbytes <= 20 * reverb.BLOCK_SAMPLES * 8
+
+    def test_peak_memory_with_a_tail_of_several_blocks(self):
+        # The output grows in place while the tail runs on, so a long tail
+        # costs no more working memory than a short one.
+        fs = 48000
+        x = np.random.default_rng(11).standard_normal(10 * fs)
+        x *= 0.1
+        cmap = baked_map([4.0, 6.0])
+        tracemalloc.start()
+        try:
+            out = render_path(AudioBuffer(fs, x), cmap, [(0.0, 0), (5.0, 1)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.samples.size - x.size >= 3 * reverb.BLOCK_SAMPLES
+        assert peak - out.samples.nbytes <= 20 * reverb.BLOCK_SAMPLES * 8
+
+    @pytest.mark.skipif(not _has_vmhwm(), reason="needs VmHWM in /proc/self/status")
+    def test_process_peak_is_input_plus_output(self):
+        # tracemalloc cannot see a realloc that copies, or memory the
+        # kernel holds twice while it moves pages, so a fresh process runs
+        # a 60 s render whose tail outgrows the first output block, then
+        # encodes it, and reports its own peak resident set (VmHWM, which
+        # unlike ru_maxrss is not inherited from this process).
+        src = Path(reverb.__file__).resolve().parents[1]
+        tests = Path(__file__).resolve().parent
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_CHILD],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(tests)])},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        r = json.loads(proc.stdout)
+        mb = 1 << 20
+        assert r["tail"] > reverb.BLOCK_SAMPLES
+        # 8 MB of block buffers plus allocator slack (11 MB in all, measured
+        # on Linux); a second copy of the output would add 23 MB.
+        margin = 16 * mb
+        base = r["base"] + r["input"] + r["output"]
+        assert r["after_render"] <= base + margin, r
+        assert r["after_write"] <= base + r["pcm"] + margin, r
 
     def test_input_longer_than_tail_cap_renders(self, monkeypatch):
         dry = np.random.default_rng(10).standard_normal(2 * FS) * 0.1

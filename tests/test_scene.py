@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from echobake.errors import (InputError, MaterialError, MeshParseError,
-                             WatertightError)
-from echobake.scene import (DEFAULT_BAND_EDGES, BandLayout, Material,
-                            analytic_volume_and_area, load_scene, parse_materials,
-                            parse_mesh)
+from echobake.errors import (AcousticDomainError, InputError, MaterialError,
+                             MeshParseError, WatertightError)
+from echobake.pipeline import _fixture_text
+from echobake.scene import (DEFAULT_BAND_EDGES, MAX_COORDINATE_M, BandLayout,
+                            Material, analytic_volume_and_area, load_scene,
+                            parse_materials, parse_mesh)
 from echobake.shapes import (box_obj, cube_obj, default_materials_json,
                              pillar_room_analytic, pillar_room_obj,
                              square_pyramid_obj, validation_shapes)
 
+from conftest import apply_edits, text_edits
 from corridor_geometry import corridor_room_analytics
 
 MATS = default_materials_json(0.2)
@@ -55,6 +58,18 @@ def test_parse_rejects_non_finite_vertex(bad):
     lines[line_no - 1] = f"v {bad} 0.0 0.0"
     with pytest.raises(MeshParseError, match=f"line {line_no}: .*finite"):
         parse_mesh("\n".join(lines))
+
+
+@pytest.mark.parametrize("bad", ["1e200", "-1e155", "1000000.5"])
+def test_parse_rejects_vertex_past_coordinate_bound(bad):
+    # Coordinates near 1e154 m overflowed the cross product in Scene.
+    lines = cube_obj(5.0).splitlines()
+    line_no = next(i for i, line in enumerate(lines, 1) if line.startswith("v "))
+    lines[line_no - 1] = f"v 0.0 {bad} 0.0"
+    with pytest.raises(MeshParseError, match=f"line {line_no}: .*within 1e\\+06 m"):
+        parse_mesh("\n".join(lines))
+    lines[line_no - 1] = f"v 0.0 {-MAX_COORDINATE_M} 0.0"
+    assert parse_mesh("\n".join(lines))[0][0, 1] == -MAX_COORDINATE_M
 
 
 def test_parse_rejects_out_of_range_index():
@@ -231,3 +246,38 @@ def test_pillar_room_blocks_sight_lines(pillar_scene):
     t, idx = _closest_hit(pillar_scene, (0.5, 2.5, 3.0), (1.0, 0.0, 0.0))
     assert idx >= 0
     assert t == pytest.approx(0.5, abs=1e-9)
+
+
+FUZZ_MATERIALS = ('{"band_edges_hz": [0, 176, 775, 3408, 22050], "materials": '
+                  '{"default": [0.2, 0.2, 0.2, 0.2], "glass": [0.05, 0.04, 0.03, 0.02]}}')
+
+
+class TestLoadFuzz:
+    """A mutated mesh or material table either loads into a Scene or
+    raises InputError or AcousticDomainError; nothing else may escape,
+    including a numpy warning, which the suite turns into an error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(edits=text_edits())
+    def test_mutated_mesh(self, edits):
+        try:
+            load_scene(apply_edits(_fixture_text("corridor.obj"), edits),
+                       FUZZ_MATERIALS)
+        except (InputError, AcousticDomainError):
+            pass
+
+    @settings(max_examples=400, deadline=None)
+    @given(edits=text_edits())
+    def test_mutated_materials(self, edits):
+        try:
+            load_scene(cube_obj(5.0), apply_edits(FUZZ_MATERIALS, edits))
+        except (InputError, AcousticDomainError):
+            pass
+
+    @pytest.mark.parametrize("text", ["[" * 100_000,
+                                      '{"materials": {"default": [' + "1" * 5000 + "]}}"])
+    def test_json_past_the_decoder_limits(self, text):
+        # Nesting past the decoder's recursion depth, and an integer past
+        # Python's digit limit, raised RecursionError and ValueError.
+        with pytest.raises(MaterialError, match="not valid JSON"):
+            parse_materials(text)
