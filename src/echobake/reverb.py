@@ -304,8 +304,12 @@ def render_path(dry: AudioBuffer, cmap: ClusterMap,
     # advises huge pages for a large fresh array, and on Linux 6.18 a
     # realloc that moved such an array raised the peak RSS by its whole
     # size, where a realloc of an unadvised one only remapped its pages.
+    # The resizes skip numpy's reference check, which a profiler or tracer
+    # fails by holding the frame's locals, `out` among them. That is safe
+    # because this function never keeps a view of `out`: only
+    # `_write_block` takes views of it, and they die when it returns.
     out = np.empty(0)
-    out.resize(min(n_dry + block, limit))
+    out.resize(min(n_dry + block, limit), refcheck=False)
     b0 = cut = 0
     while b0 < n_dry or _tail_bound(comb_lines, allpass_lines) >= TAIL_FLOOR:
         if b0 >= limit:
@@ -316,7 +320,7 @@ def render_path(dry: AudioBuffer, cmap: ClusterMap,
         b1 = min(b0 + block, limit)
         n = b1 - b0
         if b1 > out.size:
-            out.resize(min(out.size + block, limit))
+            out.resize(min(out.size + block, limit), refcheck=False)
         part = x_dry[b0:b1]
         x = x_buf[:n]
         x[:part.size] = part
@@ -334,9 +338,16 @@ def render_path(dry: AudioBuffer, cmap: ClusterMap,
         last = int(hits.argmax())
         if hits[last]:
             cut = b1 - last
-        np.multiply(wet, wet_dry_mix, out=out[b0:b1])
-        dry_part = np.multiply(part, 1.0 - wet_dry_mix, out=scratch[:part.size])
-        out[b0:b0 + part.size] += dry_part
+        _write_block(out, b0, wet, part, wet_dry_mix, scratch)
         b0 = b1
-    out.resize(max(n_dry, cut))
+    out.resize(max(n_dry, cut), refcheck=False)
     return AudioBuffer(fs, out)
+
+
+def _write_block(out: np.ndarray, b0: int, wet: np.ndarray, part: np.ndarray,
+                 wet_dry_mix: float, scratch: np.ndarray) -> None:
+    """Mix one block into `out` from sample `b0` on: `wet_dry_mix` of the
+    wet block plus the rest of the dry `part`, which may be shorter."""
+    np.multiply(wet, wet_dry_mix, out=out[b0:b0 + wet.size])
+    dry_part = np.multiply(part, 1.0 - wet_dry_mix, out=scratch[:part.size])
+    out[b0:b0 + part.size] += dry_part

@@ -221,7 +221,7 @@ class Scene:
                 f"face {int(bad[0])} is degenerate (area {areas[bad[0]]:.3e} m^2)"
             )
         self._areas = areas
-        self._unit_normals = cross / norms[:, None]
+        self._normal_rows = (cross / norms[:, None]).T.copy()  # (3, M) unit normals
         self._coeffs = plucker_coefficients(self._v0, self._e1, self._e2)
         self._material_ids = material_ids.astype(np.intp)
         self._alpha = np.asarray([m.absorption for m in materials], dtype=np.float64)

@@ -11,6 +11,12 @@ Once a ray's energy falls `ROULETTE_DB` below its start it plays Russian
 roulette, so the long tail far below the RT60 fit window is sampled by a
 few reweighted rays instead of traced by all of them. Its draws hash
 (seed, ray index, bounce), so they too are independent of batching.
+
+Both bounce loops keep rays as component rows and do each bounce's
+bookkeeping once: they compact only on a bounce that loses a ray, reflect
+only rays that carry on, and bin the decay with `np.bincount`. The results
+equal those of a loop that compacts and reflects every bounce
+(`tests/reference_tracer.py`) bit for bit.
 """
 
 from __future__ import annotations
@@ -179,28 +185,27 @@ def _check_source(scene: Scene, source: np.ndarray, prefix: str = "") -> None:
         )
 
 
-def _bounce(scene: Scene, origins, dirs):
-    """One bounce for a batch of rays.
+def _next_leg(leg: np.ndarray, t: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Next (2, 3, m) origin and direction rows of the rays in `leg`.
 
-    Returns (t, hit mask, triangle ids, new origins, new directions); the
-    last three carry entries only for rays that hit something, or None
-    when nothing did. New directions are the incoming ones mirrored about
-    the struck triangle's plane.
+    Ray i struck, after `t[i]`, a plane of unit normal `n[:, i]` (either
+    sign). It leaves along d - (2 (d . n)) n, `NORMAL_OFFSET` off the plane
+    on its own side: with the facing normal f = +-n, that is d - 2 (d . f) f
+    bit for bit, since sign flips are exact.
     """
-    t, idx = scene.batch_closest_hit(origins, dirs, 0.0)
-    hit = idx >= 0
-    if not np.any(hit):
-        return t, hit, None, None, None
-    ids = idx[hit]
-    ti = t[hit][:, None]
-    d = dirs[hit]
-    normals = scene._unit_normals[ids]
-    dot = d[:, 0] * normals[:, 0] + d[:, 1] * normals[:, 1] + d[:, 2] * normals[:, 2]
-    facing = np.where(dot > 0.0, -1.0, 1.0)[:, None] * normals
-    fdot = d[:, 0] * facing[:, 0] + d[:, 1] * facing[:, 1] + d[:, 2] * facing[:, 2]
-    reflected = d - 2.0 * fdot[:, None] * facing
-    points = origins[hit] + ti * d + NORMAL_OFFSET * facing
-    return t, hit, ids, points, reflected
+    o, d = leg
+    dn = d[0] * n[0] + d[1] * n[1] + d[2] * n[2]
+    off = np.where(dn > 0.0, -NORMAL_OFFSET, NORMAL_OFFSET)
+    out = np.empty_like(leg)
+    np.add(o + t * d, off * n, out=out[0])
+    np.subtract(d, (2.0 * dn) * n, out=out[1])
+    return out
+
+
+def _keep(mask: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each of `arrays` cut to the rays, along its last axis, where `mask` is set."""
+    keep = np.flatnonzero(mask)
+    return tuple(a.take(keep, axis=-1) for a in arrays)
 
 
 def trace_segments(scene: Scene, sources, config: TraceConfig,
@@ -233,19 +238,21 @@ def trace_segments(scene: Scene, sources, config: TraceConfig,
     for i, src in enumerate(srcs, first_index):
         _check_source(scene, src, f"point {i}: ")
     k, n, b = srcs.shape[0], config.n_rays, config.n_bounces
-    dirs = np.tile(sphere_directions(config.rng_seed, n), (k, 1))
-    origins = np.repeat(srcs, n, axis=0)
+    leg = np.stack((np.repeat(srcs, n, axis=0).T,
+                    np.tile(sphere_directions(config.rng_seed, n), (k, 1)).T))
     lengths = np.zeros((k * n, b), dtype=np.float64)
     completed = np.zeros(k * n, dtype=np.int64)
     alive = np.arange(k * n)
     for j in range(b):
-        t, hit, _, points, reflected = _bounce(scene, origins, dirs)
-        if points is None:
-            break
-        alive = alive[hit]
-        lengths[alive, j] = t[hit]
+        if j:
+            leg = _next_leg(leg, t, scene._normal_rows.take(idx, axis=1))
+        t, idx = scene.batch_closest_hit(leg[0].T, leg[1].T, 0.0)
+        if not (hit := idx >= 0).all():
+            if not hit.any():
+                break
+            alive, leg, t, idx = _keep(hit, alive, leg, t, idx)
+        lengths[alive, j] = t
         completed[alive] = j + 1
-        origins, dirs = points, reflected
     lengths = lengths.reshape(k, n, b)
     completed = completed.reshape(k, n)
     results = []
@@ -278,30 +285,27 @@ def trace_energy_decay(scene: Scene, source, config: TraceConfig) -> EnergyDecay
     src = np.asarray(source, dtype=np.float64)
     _check_source(scene, src)
     n, b = config.n_rays, config.n_bounces
-    n_bands = scene.bands.n_bands
-    dirs = np.array(sphere_directions(config.rng_seed, n))
-    origins = np.tile(src, (n, 1))
-    energy = np.full((n, n_bands), 1.0 / n, dtype=np.float64)
+    leg = np.stack((np.tile(src, (n, 1)).T, sphere_directions(config.rng_seed, n).T))
+    energy = np.full((scene.bands.n_bands, n), 1.0 / n, dtype=np.float64)
     elapsed = np.zeros(n, dtype=np.float64)
     ray = np.arange(n)
-    alpha_by_tri = scene._alpha[scene._material_ids]
+    kept_by_tri = (1.0 - scene._alpha[scene._material_ids]).T.copy()
     cut = 10.0 ** (-ROULETTE_DB / 10.0) / n
 
-    dep_times: list[np.ndarray] = []
-    dep_energy: list[np.ndarray] = []
-    ray_bounces = 0
+    dep_times, dep_energy, ray_bounces = [], [], 0
     for j in range(b):
-        ray_bounces += origins.shape[0]
-        t, hit, ids, points, reflected = _bounce(scene, origins, dirs)
-        if points is None:
-            break
-        ray = ray[hit]
-        elapsed = elapsed[hit] + t[hit] / SPEED_OF_SOUND
-        energy = energy[hit] * (1.0 - alpha_by_tri[ids])
+        if j:
+            leg = _next_leg(leg, t, scene._normal_rows.take(idx, axis=1))
+        ray_bounces += leg.shape[2]
+        t, idx = scene.batch_closest_hit(leg[0].T, leg[1].T, 0.0)
+        if not (hit := idx >= 0).all():
+            leg, t, idx, energy, elapsed, ray = _keep(hit, leg, t, idx, energy, elapsed, ray)
+        elapsed = elapsed + t / SPEED_OF_SOUND
+        energy = energy * kept_by_tri.take(idx, axis=1)
         dep_times.append(elapsed)
         dep_energy.append(energy)
 
-        peak = energy.max(axis=1)
+        peak = energy.max(axis=0)
         carry = peak >= ENERGY_FLOOR
         low = np.flatnonzero(carry & (peak < cut))
         if low.size:
@@ -309,23 +313,19 @@ def trace_energy_decay(scene: Scene, source, config: TraceConfig) -> EnergyDecay
             won = roulette_uniforms(config.rng_seed, ray[low], j) < p
             carry[low] = won
             energy = energy.copy()  # the deposit keeps its values
-            energy[low[won]] /= p[won, None]
-        origins, dirs = points[carry], reflected[carry]
-        energy = energy[carry]
-        elapsed = elapsed[carry]
-        ray = ray[carry]
-        if origins.shape[0] == 0:
+            energy[:, low[won]] /= p[won]
+        if not carry.all():
+            leg, t, idx, energy, elapsed, ray = _keep(carry, leg, t, idx, energy, elapsed, ray)
+        if not ray.size:
             break
-    if not dep_times:
-        raise NoCollisionsError("no collisions; energy decay undefined")
-
     times = np.concatenate(dep_times)
-    deposits = np.concatenate(dep_energy)
+    if not times.size:
+        raise NoCollisionsError("no collisions; energy decay undefined")
+    deposits = np.concatenate(dep_energy, axis=1)
     duration = 2.0 * float(times.max())
     n_bins = max(1, int(math.ceil(duration / BIN_WIDTH_S)))
     bins = np.minimum((times / BIN_WIDTH_S).astype(np.int64), n_bins - 1)
-    hist = np.zeros((n_bins, n_bands), dtype=np.float64)
-    np.add.at(hist, bins, deposits)
+    hist = np.stack([np.bincount(bins, band, n_bins) for band in deposits], axis=1)
     return EnergyDecayCurve(BIN_WIDTH_S, hist, scene.bands.edges_hz, ray_bounces)
 
 

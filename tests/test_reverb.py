@@ -635,6 +635,31 @@ class TestStreamedRender:
         assert r["after_render"] <= base + margin, r
         assert r["after_write"] <= base + r["pcm"] + margin, r
 
+    @pytest.mark.parametrize("hook", ["profile", "trace"])
+    def test_renders_under_a_profiler(self, hook):
+        # A profiler or tracer holds references to the render's locals,
+        # which numpy's reference check on a resize counts. The tail
+        # outgrows the first output block, so the output is resized inside
+        # the block loop as well as before and after it.
+        fs = 48000
+        x = np.random.default_rng(5).standard_normal(fs)
+        x *= 0.1
+        cmap, schedule = baked_map([4.0, 6.0]), [(0.0, 0), (0.5, 1)]
+        plain = render_path(AudioBuffer(fs, x), cmap, schedule).samples
+        assert plain.size > x.size + 2 * reverb.BLOCK_SAMPLES
+        get, set_ = getattr(sys, "get" + hook), getattr(sys, "set" + hook)
+
+        def hook_fn(frame, event, arg):
+            return hook_fn
+
+        previous = get()
+        set_(hook_fn)
+        try:
+            hooked = render_path(AudioBuffer(fs, x), cmap, schedule).samples
+        finally:
+            set_(previous)
+        assert hooked.tobytes() == plain.tobytes()
+
     def test_input_longer_than_tail_cap_renders(self, monkeypatch):
         dry = np.random.default_rng(10).standard_normal(2 * FS) * 0.1
         full = render(dry, 0.3)

@@ -9,12 +9,14 @@ from echobake.errors import InputError, NoCollisionsError
 from echobake.pipeline import BakeConfig, bake, corridor_fixture
 from echobake.scene import load_scene
 from echobake.shapes import cube_obj, default_materials_json
-from echobake.tracer import (ROULETTE_DB, TraceConfig, _bounce,
+import echobake.tracer as tracer
+from echobake.tracer import (ROULETTE_DB, TraceConfig, _next_leg,
                              roulette_uniforms, segments_csv_text,
                              sphere_directions, trace_energy_decay,
                              trace_segments)
 
 from conftest import open_cube_obj
+from reference_tracer import facing_leg, reference_decay, reference_segments
 
 CENTER = (2.5, 2.5, 2.5)
 
@@ -66,7 +68,7 @@ class TestSphereDirections:
 
 
 def bounce_direction(d, n):
-    """Direction `_bounce` gives a ray `d` that strikes a plane with unit
+    """Direction the tracer gives a ray `d` that strikes a plane with unit
     normal `n` (either sign) at the origin, from one unit away."""
     helper = (np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9
               else np.array([0.0, 1.0, 0.0]))
@@ -77,9 +79,10 @@ def bounce_direction(d, n):
     obj = "".join(f"v {x!r} {y!r} {z!r}\n" for x, y, z in
                   (v.tolist() for v in verts)) + "f 1 2 3\n"
     scene = load_scene(obj, default_materials_json())
-    _, hit, _, _, reflected = _bounce(scene, -d[None, :], d[None, :])
-    assert hit[0]
-    return reflected[0]
+    leg = np.stack((-d[:, None], d[:, None]))
+    t, idx = scene.batch_closest_hit(leg[0].T, leg[1].T, 0.0)
+    assert idx[0] >= 0
+    return _next_leg(leg, t, scene._normal_rows.take(idx, axis=1))[1, :, 0]
 
 
 def oblique_pairs():
@@ -119,6 +122,46 @@ class TestReflect:
                                                       abs=1e-9)
         assert out - np.dot(out, n) * n == pytest.approx(
             d - np.dot(d, n) * n, abs=1e-9)
+
+
+def legs_and_normals():
+    """(origins, directions, t, normals) rows for `_next_leg`: oblique rays,
+    rays with d . n == 0 exactly, and normals of either sign."""
+    coords = st.floats(-10.0, 10.0, allow_subnormal=False)
+    oblique = st.tuples(unit_vectors(), unit_vectors())
+    # d . n = (-b) a + a b + c 0, which is exactly zero.
+    grazing = st.tuples(coords, coords, coords).filter(
+        lambda abc: abc[0] ** 2 + abc[1] ** 2 > 1e-6).map(
+        lambda abc: (np.array([-abc[1], abc[0], abc[2]]),
+                     np.array([abc[0], abc[1], 0.0])))
+    axis = st.sampled_from([(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])),
+                            (np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))])
+    ray = st.tuples(st.one_of(oblique, grazing, axis), st.booleans(),
+                    st.tuples(coords, coords, coords), st.floats(0.0, 50.0))
+    return st.lists(ray, min_size=1, max_size=8).map(lambda rays: (
+        np.array([o for _, _, o, _ in rays], dtype=np.float64),
+        np.array([dn[0] for dn, _, _, _ in rays]),
+        np.array([t for _, _, _, t in rays]),
+        np.array([-dn[1] if flip else dn[1] for dn, flip, _, _ in rays])))
+
+
+class TestNextLeg:
+    @given(legs_and_normals())
+    def test_equals_facing_form_bit_for_bit(self, case):
+        o, d, t, n = case
+        leg = _next_leg(np.stack((o.T, d.T)), t, n.T.copy())
+        points, reflected = facing_leg(o, d, t, n)
+        assert leg[0].T.tobytes() == points.tobytes()
+        assert leg[1].T.tobytes() == reflected.tobytes()
+
+    def test_grazing_ray_keeps_its_direction(self):
+        o = np.zeros((2, 3))
+        d = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
+        n = np.array([[0.0, 0.0, -1.0], [-1.0, 0.0, 0.0]])
+        leg = _next_leg(np.stack((o.T, d.T)), np.ones(2), n.T.copy())
+        assert np.array_equal(leg[1].T, d)
+        # d . n = 0 counts as arriving from the side n points to.
+        assert np.array_equal(leg[0].T, d + 1e-6 * n)
 
 
 class TestTraceSegments:
@@ -305,15 +348,16 @@ def one_ray_totals(scene, source, config, i):
     n = config.n_rays
     cut = 10.0 ** (-ROULETTE_DB / 10.0) / n
     alpha = scene._alpha[scene._material_ids]
-    origin = np.array([source], dtype=np.float64)
-    d = np.array(sphere_directions(config.rng_seed, n)[i:i + 1])
+    leg = np.stack((np.array([source], dtype=np.float64).T,
+                    sphere_directions(config.rng_seed, n)[i:i + 1].T))
     energy = np.full((1, scene.bands.n_bands), 1.0 / n)
     total = np.zeros(scene.bands.n_bands)
     for j in range(config.n_bounces):
-        _, hit, ids, origin, d = _bounce(scene, origin, d)
-        if not hit[0]:
+        t, idx = scene.batch_closest_hit(leg[0].T, leg[1].T, 0.0)
+        if idx[0] < 0:
             break
-        energy = energy * (1.0 - alpha[ids])
+        leg = _next_leg(leg, t, scene._normal_rows.take(idx, axis=1))
+        energy = energy * (1.0 - alpha[idx])
         total += energy[0]
         peak = energy.max()
         if peak < cut:
@@ -374,6 +418,96 @@ class TestRussianRoulette:
         b = trace_energy_decay(cube_scene, CENTER, cfg)
         assert a.ray_bounces == b.ray_bounces < 80 * 200
         assert np.array_equal(a.energies, b.energies)
+
+
+@pytest.fixture(scope="module")
+def corridor_lr_sources():
+    """The corridor scene and its default bake's one LR source per cluster."""
+    scene, points = corridor_fixture()
+    bakefile, _ = bake(scene, points)
+    return scene, [c.lr_position for c in bakefile.cluster_map.clusters]
+
+
+class TestBounceBookkeeping:
+    """The tracer's loops give the arrays of the plain loops in
+    `reference_tracer`, which compact and reflect on every bounce."""
+
+    @pytest.mark.parametrize("alpha, cfg, lossless", [
+        (0.2, TraceConfig(100, 20, 0), True),  # no ray ends before the cap
+        (0.02, TraceConfig(100, 300, 2), True),  # 0.98**300 stays above the cut
+        (0.2, TraceConfig(100, 300, 3), False),  # roulette from bounce 42 on
+    ])
+    def test_closed_cube_decay(self, alpha, cfg, lossless):
+        scene = load_scene(cube_obj(5.0), default_materials_json(alpha))
+        curve = trace_energy_decay(scene, CENTER, cfg)
+        energies, ray_bounces = reference_decay(scene, CENTER, cfg)
+        assert np.array_equal(curve.energies, energies)
+        assert curve.ray_bounces == ray_bounces
+        assert (ray_bounces == cfg.n_rays * cfg.n_bounces) == lossless
+
+    def test_open_cube_decay(self, monkeypatch):
+        # Rays leave through the open face on every early bounce, and from
+        # bounce 14 on the roulette drops some too: bounces 14 to 16 lose
+        # rays both ways, so both compactions run on one bounce.
+        scene = load_scene(open_cube_obj(), default_materials_json(0.5))
+        cfg = TraceConfig(200, 60, 5)
+        calls, cuts = [0], []
+        kernel, keep = scene.batch_closest_hit, tracer._keep
+
+        def counted_kernel(*args):
+            calls[0] += 1
+            return kernel(*args)
+
+        def logged_keep(mask, *arrays):
+            cuts.append(calls[0])
+            return keep(mask, *arrays)
+
+        monkeypatch.setattr(scene, "batch_closest_hit", counted_kernel)
+        monkeypatch.setattr(tracer, "_keep", logged_keep)
+        curve = trace_energy_decay(scene, CENTER, cfg)
+        monkeypatch.undo()
+        assert any(cuts.count(c) == 2 for c in cuts)
+        energies, ray_bounces = reference_decay(scene, CENTER, cfg)
+        assert np.array_equal(curve.energies, energies)
+        assert curve.ray_bounces == ray_bounces
+
+    def test_corridor_cluster_sources(self, corridor_lr_sources):
+        scene, sources = corridor_lr_sources
+        assert len(sources) == 8
+        cfg = BakeConfig().lr_trace_config()
+        for src in sources:
+            curve = trace_energy_decay(scene, src, cfg)
+            energies, ray_bounces = reference_decay(scene, src, cfg)
+            assert np.array_equal(curve.energies, energies), src
+            assert curve.ray_bounces == ray_bounces, src
+
+    def test_open_cube_segments(self):
+        scene = load_scene(open_cube_obj(), default_materials_json(0.5))
+        cfg = TraceConfig(150, 12, 4)
+        sources = [CENTER, (1.0, 4.0, 2.0)]
+        results = trace_segments(scene, sources, cfg)
+        lengths, completed = reference_segments(scene, sources, cfg)
+        # Rays are lost on the first leg, on later ones, and not at all.
+        assert {0, 5, cfg.n_bounces} <= set(completed.tolist())
+        assert np.array_equal(np.concatenate([r.lengths for r in results]), lengths)
+        assert np.array_equal(
+            np.concatenate([r.bounces_completed for r in results]), completed)
+
+    def test_bincount_adds_like_add_at(self):
+        # Deposits of very different sizes in repeated, unsorted bins:
+        # floating-point sums depend on their order, and both functions add
+        # in index order from 0.0.
+        rng = np.random.default_rng(12)
+        bins = rng.integers(0, 40, 5000)
+        deposits = rng.random((5000, 4)) * 10.0 ** rng.integers(-12, 0, (5000, 1))
+        expected = np.zeros((40, 4))
+        np.add.at(expected, bins, deposits)
+        got = np.stack([np.bincount(bins, band, 40) for band in deposits.T], axis=1)
+        assert got.tobytes() == expected.tobytes()
+        shuffled = np.zeros((40, 4))
+        order = rng.permutation(5000)
+        np.add.at(shuffled, bins[order], deposits[order])
+        assert not np.array_equal(shuffled, expected)
 
 
 def test_segments_csv_round_trip(cube_scene):
