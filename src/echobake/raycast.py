@@ -12,9 +12,11 @@ ray row ``[o x d, d, o, 1]``:
 
 `plucker_coefficients` builds the per-triangle coefficients once per
 scene; `Scene.batch_closest_hit` is how the tracer reaches the kernel,
-which is the only intersection code in the package. The test suite checks
-it against an independent scalar Moller-Trumbore reference on randomized
-rays, requiring the same triangle and a `t` within 1e-12 m.
+which is the only intersection code in the package; it passes only one
+isolated part's columns of the coefficients when every ray starts in that
+part. The test suite checks the kernel against an independent scalar
+Moller-Trumbore reference on randomized rays, requiring the same triangle
+and a `t` within 1e-12 m.
 
 A chunk holds at most `MAX_PAIRS` ray-triangle pairs, and every chunk
 works in one scratch buffer per thread, so the kernel never allocates a
@@ -93,7 +95,8 @@ def batch_closest_hit(
         distances resolve to the lower triangle index.
 
     Every ray's result depends only on that ray: it is the same bit for bit
-    whatever else is in the batch and however the batch is chunked.
+    whatever else is in the batch and however the batch is chunked. Each
+    pair's quantities are also the same bits on any column subset of coeffs.
     """
     n = origins.shape[0]
     m = coeffs.shape[2]

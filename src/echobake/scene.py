@@ -3,7 +3,8 @@
 A scene is an immutable triangle soup with per-triangle materials, loaded
 from a small OBJ subset plus a JSON material table. Its one geometry query,
 `Scene.batch_closest_hit`, runs the kernel in :mod:`echobake.raycast` on
-Plucker coefficients that the scene builds once from its triangles.
+Plucker coefficients that the scene builds once from its triangles; rays
+from one isolated part of the mesh test that part first, to the same bits.
 `analytic_volume_and_area` gives the closed forms the mean-free-path
 estimator is validated against and is the only operation that requires a
 watertight mesh.
@@ -34,8 +35,10 @@ raises :class:`MaterialError` naming the key or the material.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -208,7 +211,7 @@ class Scene:
         self.bands = bands
         self.fingerprint = fingerprint
 
-        tri = vertices[np.asarray(faces, dtype=np.intp)]
+        tri = self._corners = vertices[np.asarray(faces, dtype=np.intp)]
         self._v0 = np.ascontiguousarray(tri[:, 0, :])
         self._e1 = np.ascontiguousarray(tri[:, 1, :] - tri[:, 0, :])
         self._e2 = np.ascontiguousarray(tri[:, 2, :] - tri[:, 0, :])
@@ -239,11 +242,59 @@ class Scene:
         weights = self._areas / self._areas.sum()
         return weights @ self._alpha[self._material_ids]
 
+    @functools.cached_property
+    def _parts(self) -> list[tuple[list, list, np.ndarray, np.ndarray]]:
+        """(low corner, high corner, triangle indices, `_coeffs` columns) of
+        each isolated part, built on first use: along the axis that splits
+        them most, the triangles' padded extents chain into parts separated
+        by gaps. A mesh that does not split has no isolated part."""
+        # The pad passes the tracer's 1e-6 m offset, BARY_EPS times any edge
+        # and rounding.
+        pad = 1e-6 * (np.abs(self._corners).max() + 1.0)
+        low, high = self._corners.min(axis=1) - pad, self._corners.max(axis=1) + pad
+        splits = []
+        for a in range(3):
+            order = np.argsort(low[:, a], kind="stable")
+            gaps = low[order[1:], a] > np.maximum.accumulate(high[order[:-1], a])
+            splits.append(np.split(order, np.flatnonzero(gaps) + 1))
+        parts = max(splits, key=len)
+        return [(low[m].min(axis=0).tolist(), high[m].max(axis=0).tolist(), m,
+                 self._coeffs.take(m, axis=2)) for m in map(np.sort, parts)
+                if len(parts) > 1]
+
+    def _part_of(self, low: np.ndarray, high: np.ndarray) -> int:
+        """The isolated part whose padded box holds the box [low, high], or -1."""
+        low, high = low.tolist(), high.tolist()
+        return next((g for g, (box_low, box_high, *_) in enumerate(self._parts)
+                     if all(map(operator.le, box_low + high, low + box_high))), -1)
+
     def batch_closest_hit(
         self, origins: np.ndarray, directions: np.ndarray, t_min: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized closest-hit used by the tracer; returns (t, triangle
-        index or -1) per ray. See :func:`echobake.raycast.batch_closest_hit`."""
+        """Closest hit per ray, as (t, triangle index or -1); see
+        :func:`echobake.raycast.batch_closest_hit`.
+
+        If every origin lies in isolated part g's padded box, the rays are
+        tested against g's triangles, and the misses against all. That is
+        the whole-mesh result bit for bit: the convex box holds the origin
+        and any hit on g, so the leg to that hit too, and a kernel-valid hit
+        on any other triangle lies in its padded box, disjoint from g's. The
+        kernel gives a pair the same bits on any column subset, and g's
+        triangles keep their order, so ties resolve alike. (A ray within
+        rounding of parallel to a triangle's plane is the exception: there
+        the kernel's answer is rounding noise either way.)
+        """
+        if self._parts and origins.shape[0]:
+            g = self._part_of(origins.min(axis=0), origins.max(axis=0))
+            if g >= 0:
+                *_, members, coeffs = self._parts[g]
+                t, idx = batch_closest_hit(origins, directions, coeffs, t_min)
+                miss = idx < 0
+                idx = members.take(idx)  # a miss is traced again below
+                if miss.any():
+                    t[miss], idx[miss] = batch_closest_hit(
+                        origins[miss], directions[miss], self._coeffs, t_min)
+                return t, idx
         return batch_closest_hit(origins, directions, self._coeffs, t_min)
 
 

@@ -3,7 +3,8 @@
 Rays are emitted uniformly over the sphere from per-ray random streams
 keyed by (seed, ray index), so results never depend on execution order or
 batching. `trace_segments` records free-path segment lengths for the mean
-free path estimator, for any number of sources in one ray set;
+free path estimator, for any number of sources, one ray set per isolated
+part of the scene (`Scene.batch_closest_hit` then tests only that part);
 `trace_energy_decay` follows the same geometry from one source while
 attenuating a per-band energy payload at every surface hit and depositing
 it into a time histogram, which later feeds the decay-regression RT60.
@@ -221,7 +222,9 @@ def trace_segments(scene: Scene, sources, config: TraceConfig,
     first_index : the point index errors give `sources[0]`.
 
     Returns one result per source, in order, each exactly that of a
-    one-source trace. Memory grows with n * n_rays * n_bounces.
+    one-source trace, so the sources in each isolated part of the scene
+    are traced as their own ray set (see `Scene.batch_closest_hit`).
+    Memory grows with n * n_rays * n_bounces.
 
     Raises
     ------
@@ -237,12 +240,32 @@ def trace_segments(scene: Scene, sources, config: TraceConfig,
         raise InputError(f"sources must be an (n, 3) array, got shape {srcs.shape}")
     for i, src in enumerate(srcs, first_index):
         _check_source(scene, src, f"point {i}: ")
+    part = [scene._part_of(src, src) for src in srcs]
+    traced = {}
+    for g in set(part):
+        rows = [i for i, p in enumerate(part) if p == g]
+        traced.update(zip(rows, zip(*_trace_paths(scene, srcs[rows], config))))
+    results = []
+    for i, src in enumerate(srcs):
+        lengths, completed = traced[i]
+        if not completed.any():
+            raise NoCollisionsError(f"point {first_index + i}: no collisions; "
+                                    "mean-free path undefined")
+        results.append(PathTraceResult(tuple(float(v) for v in src), config,
+                                       lengths, completed))
+    return results
+
+
+def _trace_paths(scene: Scene, srcs: np.ndarray,
+                 config: TraceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(k, n, b) segment lengths and (k, n) bounces completed of the k
+    sources' rays, traced as one ray set."""
     k, n, b = srcs.shape[0], config.n_rays, config.n_bounces
-    leg = np.stack((np.repeat(srcs, n, axis=0).T,
+    # np.array of a tuple is C order: each component is a contiguous row.
+    leg = np.array((np.repeat(srcs, n, axis=0).T,
                     np.tile(sphere_directions(config.rng_seed, n), (k, 1)).T))
-    lengths = np.zeros((k * n, b), dtype=np.float64)
-    completed = np.zeros(k * n, dtype=np.int64)
-    alive = np.arange(k * n)
+    lengths = np.zeros((b, k * n), dtype=np.float64)  # bounce-major
+    alive = slice(None)  # plain row writes until a ray is lost
     for j in range(b):
         if j:
             leg = _next_leg(leg, t, scene._normal_rows.take(idx, axis=1))
@@ -250,19 +273,11 @@ def trace_segments(scene: Scene, sources, config: TraceConfig,
         if not (hit := idx >= 0).all():
             if not hit.any():
                 break
-            alive, leg, t, idx = _keep(hit, alive, leg, t, idx)
-        lengths[alive, j] = t
-        completed[alive] = j + 1
-    lengths = lengths.reshape(k, n, b)
-    completed = completed.reshape(k, n)
-    results = []
-    for i, src in enumerate(srcs):
-        if not completed[i].any():
-            raise NoCollisionsError(f"point {first_index + i}: no collisions; "
-                                    "mean-free path undefined")
-        results.append(PathTraceResult(tuple(float(v) for v in src), config,
-                                       lengths[i], completed[i]))
-    return results
+            alive, leg, t, idx = _keep(hit, np.arange(k * n)[alive], leg, t, idx)
+        lengths[j, alive] = t
+    # A hit has t > 0, so a ray's completed segments are its nonzero lengths.
+    return (lengths.reshape(b, k, n).transpose(1, 2, 0),
+            np.count_nonzero(lengths, axis=0).reshape(k, n))
 
 
 def trace_energy_decay(scene: Scene, source, config: TraceConfig) -> EnergyDecayCurve:
@@ -285,7 +300,7 @@ def trace_energy_decay(scene: Scene, source, config: TraceConfig) -> EnergyDecay
     src = np.asarray(source, dtype=np.float64)
     _check_source(scene, src)
     n, b = config.n_rays, config.n_bounces
-    leg = np.stack((np.tile(src, (n, 1)).T, sphere_directions(config.rng_seed, n).T))
+    leg = np.array((np.tile(src, (n, 1)).T, sphere_directions(config.rng_seed, n).T))
     energy = np.full((scene.bands.n_bands, n), 1.0 / n, dtype=np.float64)
     elapsed = np.zeros(n, dtype=np.float64)
     ray = np.arange(n)

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from echobake.perception import Cluster, ClusterMap
 from echobake.scene import load_scene
-from echobake.shapes import (cube_obj, default_materials_json,
+from echobake.shapes import (box_obj, cube_obj, default_materials_json,
                              pillar_room_obj, square_pyramid_obj)
 
 from corridor_geometry import corridor_obj, corridor_path
@@ -44,6 +44,30 @@ def open_cube_obj():
     """The 5 m cube with its last face (two triangles) removed."""
     lines = cube_obj(5.0).strip().splitlines()
     return "\n".join(lines[:-2]) + "\n"
+
+
+def joined_obj(*texts):
+    """One mesh of several OBJ texts, each keeping its own vertices: face
+    indices are offset past the vertices before them, so no index is shared
+    even where coordinates coincide."""
+    lines, offset = [], 0
+    for text in texts:
+        for line in text.strip().splitlines():
+            if line.startswith("f "):
+                line = "f " + " ".join(str(int(i) + offset) for i in line.split()[1:])
+            lines.append(line)
+        offset += sum(line.startswith("v ") for line in text.splitlines())
+    return "\n".join(lines) + "\n"
+
+
+# Two closed halls 2 m apart along x, and the 5 m cube open on its +x face
+# (its last two triangles) beside a closed box that its escaping rays reach.
+TWO_HALLS_OBJ = joined_obj(box_obj(12.0, 8.0, 5.0),
+                           box_obj(8.0, 6.0, 4.0, origin=(14.0, 0.0, 0.0)))
+HALL_POINTS = ((3.0, 4.0, 2.0), (17.0, 2.0, 1.5), (9.0, 6.0, 3.5),
+               (20.0, 4.5, 2.5), (6.0, 1.5, 1.0), (15.5, 3.0, 3.0))
+OPEN_BESIDE_CLOSED_OBJ = joined_obj(open_cube_obj(),
+                                    box_obj(4.0, 5.0, 5.0, origin=(7.0, 0.0, 0.0)))
 
 
 def baked_map(rt60s):

@@ -4,13 +4,17 @@ The plain form of the tracer's loops, with no bookkeeping saved: every
 bounce compacts the ray set after the kernel and again after the roulette,
 reflects every ray that hit (including those the roulette then drops) with
 the facing normal, and the decay histogram is built with `np.add.at`.
-Tests require the tracer's loops to give the same arrays bit for bit.
+Every bounce tests every ray against the whole mesh, through the kernel
+itself, not through `Scene.batch_closest_hit`, which tests a ray set from
+one isolated part against that part first. Tests require the tracer's
+loops to give the same arrays bit for bit, so they check that too.
 """
 
 import math
 
 import numpy as np
 
+from echobake import raycast
 from echobake.tracer import (BIN_WIDTH_S, ENERGY_FLOOR, NORMAL_OFFSET,
                              ROULETTE_DB, SPEED_OF_SOUND, roulette_uniforms,
                              sphere_directions)
@@ -20,7 +24,7 @@ def facing_bounce(scene, origins, dirs):
     """One bounce: (t, hit mask, triangle ids, new origins, new directions),
     the last three for hit rays only, or None when nothing hit. The new
     direction is mirrored with the facing normal f: d - 2 (d . f) f."""
-    t, idx = scene.batch_closest_hit(origins, dirs, 0.0)
+    t, idx = raycast.batch_closest_hit(origins, dirs, scene._coeffs, 0.0)
     hit = idx >= 0
     if not np.any(hit):
         return t, hit, None, None, None

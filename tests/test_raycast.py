@@ -10,7 +10,7 @@ from echobake.raycast import MAX_PAIRS, plucker_coefficients
 from echobake.scene import load_scene
 from echobake.shapes import cube_obj, default_materials_json
 
-from conftest import random_rays
+from conftest import TWO_HALLS_OBJ, random_rays
 from scalar_oracle import mismatches, scalar_closest_hit, scene_closest_hit
 
 
@@ -169,6 +169,32 @@ def test_result_independent_of_chunking(corridor_scene):
         got = corridor_scene.batch_closest_hit(origins[a:a + step],
                                                dirs[a:a + step], 1e-4)
         _assert_same_bits(got, (t[a:a + step], idx[a:a + step]))
+
+
+@pytest.mark.parametrize("mesh", ["corridor", "two_halls"])
+def test_column_subsets_give_the_same_bits(mesh, corridor_scene, uniform_materials):
+    # The kernel on any subset of the triangles' coefficient columns gives
+    # every ray whose hit is in the subset the same t bits, and the same
+    # triangle once local indices are mapped back. Every call spans more
+    # than two chunks.
+    scene = (corridor_scene if mesh == "corridor"
+             else load_scene(TWO_HALLS_OBJ, uniform_materials))
+    m = scene.n_triangles
+    rng = np.random.default_rng(31)
+    subsets = [np.arange(m // 2), np.arange(m // 3, m), np.arange(0, m, 3),
+               np.sort(rng.choice(m, m // 2, replace=False))]
+    subsets += [members for *_, members, _ in scene._parts]
+    n = 2 * MAX_PAIRS // (m // 3) + 5
+    origins, dirs = random_rays(scene, n, seed=32)
+    t, idx = raycast.batch_closest_hit(origins, dirs, scene._coeffs, 1e-4)
+    for members in subsets:
+        assert n * members.size > 2 * MAX_PAIRS
+        sub_t, sub_idx = raycast.batch_closest_hit(
+            origins, dirs, scene._coeffs[:, :, members], 1e-4)
+        inside = np.isin(idx, members)
+        assert inside.sum() > 1000
+        assert sub_t[inside].tobytes() == t[inside].tobytes()
+        assert np.array_equal(members[sub_idx[inside]], idx[inside])
 
 
 def test_more_triangles_than_max_pairs():

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
+from echobake import raycast
 from echobake.errors import (AcousticDomainError, InputError, MaterialError,
                              MeshParseError, WatertightError)
 from echobake.pipeline import _fixture_text
@@ -14,7 +15,8 @@ from echobake.shapes import (box_obj, cube_obj, default_materials_json,
                              pillar_room_analytic, pillar_room_obj,
                              square_pyramid_obj, validation_shapes)
 
-from conftest import apply_edits, text_edits
+from conftest import (OPEN_BESIDE_CLOSED_OBJ, TWO_HALLS_OBJ, apply_edits,
+                      joined_obj, text_edits)
 from corridor_geometry import corridor_room_analytics
 
 MATS = default_materials_json(0.2)
@@ -246,6 +248,119 @@ def test_pillar_room_blocks_sight_lines(pillar_scene):
     t, idx = _closest_hit(pillar_scene, (0.5, 2.5, 3.0), (1.0, 0.0, 0.0))
     assert idx >= 0
     assert t == pytest.approx(0.5, abs=1e-9)
+
+
+def _faces_reversed(text):
+    lines = text.strip().splitlines()
+    faces = [line for line in lines if line.startswith("f ")]
+    return "\n".join([line for line in lines if not line.startswith("f ")] + faces[::-1])
+
+
+# Meshes of separate boxes, and the triangles of each isolated part: two
+# halls, also with the faces of one listed from its +x end; a box inside a
+# box (the outer one's extent covers the inner one's); an open box beside a
+# closed one; two cubes 1e-5 m apart, closer than the 2.3e-5 m pad; and two
+# cubes sharing the plane x = 5 but no vertex.
+PART_CASES = {
+    "two_halls": (TWO_HALLS_OBJ, [range(0, 12), range(12, 24)]),
+    "faces_out_of_order": (joined_obj(_faces_reversed(cube_obj(5.0)), cube_obj(
+        3.0, origin=(6.0, 0.0, 0.0))), [range(0, 12), range(12, 24)]),
+    "nested": (joined_obj(cube_obj(10.0), cube_obj(2.0, origin=(4.0, 4.0, 4.0))), []),
+    "open_beside_closed": (OPEN_BESIDE_CLOSED_OBJ, [range(0, 10), range(10, 22)]),
+    "padded_boxes_touch": (joined_obj(cube_obj(5.0), cube_obj(5.0, origin=(5.00001, 0.0, 0.0))), []),
+    "coordinates_coincide": (joined_obj(cube_obj(5.0), cube_obj(5.0, origin=(5.0, 0.0, 0.0))), []),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(PART_CASES))
+def part_case(request):
+    text, parts = PART_CASES[request.param]
+    return load_scene(text, MATS), parts
+
+
+def test_isolated_parts(part_case):
+    scene, parts = part_case
+    assert [m.tolist() for *_, m, _ in scene._parts] == [list(r) for r in parts]
+    for low, high, members, coeffs in scene._parts:
+        corners = scene._corners[members].reshape(-1, 3)
+        assert np.all(corners > low) and np.all(corners < high)
+        assert np.array_equal(coeffs, scene._coeffs[:, :, members])
+
+
+@pytest.mark.parametrize("text", [cube_obj(5.0), pillar_room_obj()])
+def test_one_piece_has_no_isolated_part(text):
+    assert load_scene(text, MATS)._parts == []
+
+
+def test_corridor_has_no_isolated_part(corridor_scene):
+    assert corridor_scene._parts == []
+
+
+def _assert_whole_mesh_bits(scene, origins, dirs, t_min):
+    got = scene.batch_closest_hit(origins, dirs, t_min)
+    want = raycast.batch_closest_hit(origins, dirs, scene._coeffs, t_min)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+def _part_boxes(scene):
+    """Each part's padded box, then the scene's bounds grown by 2 m."""
+    lo, hi = scene.bounds
+    return [(np.array(low), np.array(high)) for low, high, *_ in scene._parts] + [
+        (lo - 2.0, hi + 2.0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(box=st.integers(0, 2), t_min=st.sampled_from([0.0, 1e-4]),
+       rays=st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 3,
+                               *[st.floats(-1.0, 1.0)] * 3), min_size=1, max_size=30))
+def test_parts_give_whole_mesh_bits(part_case, box, t_min, rays):
+    # Rays from within one part's box (restricted), or anywhere near the
+    # scene (mostly the whole mesh). Zero directions miss everything.
+    scene, _ = part_case
+    boxes = _part_boxes(scene)
+    low, high = boxes[min(box, len(boxes) - 1)]
+    rays = np.array(rays)
+    _assert_whole_mesh_bits(scene, low + rays[:, :3] * (high - low), rays[:, 3:], t_min)
+
+
+def test_straddling_and_outside_origins_give_whole_mesh_bits(part_case):
+    scene, _ = part_case
+    rng = np.random.default_rng(8)
+    dirs = rng.standard_normal((400, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    # Alternate rows from every box, including the one around the scene.
+    groups = [low + rng.random((400, 3)) * (high - low) for low, high in _part_boxes(scene)]
+    straddling = np.stack(groups, axis=1).reshape(-1, 3)[:400]
+    between = np.array([[13.0, 3.0, 2.0], [6.0, 2.5, 2.5], [5.000005, 2.5, 2.5]])
+    for origins in (straddling, np.repeat(between, 50, axis=0), groups[-1]):
+        for t_min in (0.0, 1e-4):
+            _assert_whole_mesh_bits(scene, origins, dirs[:origins.shape[0]], t_min)
+
+
+def test_part_calls_and_their_fallback(monkeypatch):
+    # One hall's rays in a closed hall take one call on that hall's
+    # coefficients, and a mesh with no isolated part one call on all of
+    # them. Rays leaving the open box through its open face miss it, and a
+    # second call on the whole mesh finds the closed box beside it.
+    halls, cube = load_scene(TWO_HALLS_OBJ, MATS), load_scene(cube_obj(5.0), MATS)
+    open_closed = load_scene(OPEN_BESIDE_CLOSED_OBJ, MATS)
+    calls = []
+
+    def kernel(origins, dirs, coeffs, t_min):
+        calls.append((origins.shape[0], coeffs))
+        return raycast.batch_closest_hit(origins, dirs, coeffs, t_min)
+
+    monkeypatch.setattr("echobake.scene.batch_closest_hit", kernel)
+    halls.batch_closest_hit(np.full((3, 3), 2.0) + [14.0, 0.0, 0.0], np.eye(3), 0.0)
+    cube.batch_closest_hit(np.full((3, 3), 2.0), np.eye(3), 0.0)
+    t, idx = open_closed.batch_closest_hit(np.full((2, 3), 2.5), np.array(
+        [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), 0.0)
+    assert len(calls) == 4
+    assert [(n, c is coeffs) for (n, c), coeffs in zip(calls, [
+        halls._parts[1][3], cube._coeffs, open_closed._parts[0][3],
+        open_closed._coeffs])] == [(3, True), (3, True), (2, True), (1, True)]
+    assert t.tolist() == [4.5, 2.5] and idx[0] >= 10 and 0 <= idx[1] < 10
 
 
 FUZZ_MATERIALS = ('{"band_edges_hz": [0, 176, 775, 3408, 22050], "materials": '

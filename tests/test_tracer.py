@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from echobake import raycast
 from echobake.acoustics import mfp_from_trace
 from echobake.errors import InputError, NoCollisionsError
-from echobake.pipeline import BakeConfig, bake, corridor_fixture
+from echobake.pipeline import (BakeConfig, _mean_free_paths, bake,
+                               corridor_fixture)
 from echobake.scene import load_scene
 from echobake.shapes import cube_obj, default_materials_json
 import echobake.tracer as tracer
@@ -15,7 +17,8 @@ from echobake.tracer import (ROULETTE_DB, TraceConfig, _next_leg,
                              sphere_directions, trace_energy_decay,
                              trace_segments)
 
-from conftest import open_cube_obj
+from conftest import (HALL_POINTS, OPEN_BESIDE_CLOSED_OBJ, TWO_HALLS_OBJ,
+                      open_cube_obj)
 from reference_tracer import facing_leg, reference_decay, reference_segments
 
 CENTER = (2.5, 2.5, 2.5)
@@ -492,6 +495,74 @@ class TestBounceBookkeeping:
         assert np.array_equal(np.concatenate([r.lengths for r in results]), lengths)
         assert np.array_equal(
             np.concatenate([r.bounces_completed for r in results]), completed)
+
+    @pytest.mark.parametrize("mesh, sources", [
+        (TWO_HALLS_OBJ, HALL_POINTS[:2]),
+        (OPEN_BESIDE_CLOSED_OBJ, [CENTER, (9.0, 2.5, 2.5)]),
+    ])
+    def test_separate_boxes_decay(self, mesh, sources, monkeypatch):
+        # Each source's rays start in one isolated part. In the open box the
+        # escaping rays hit the closed box from outside, so later bounces
+        # start in both parts.
+        scene = load_scene(mesh, default_materials_json(0.2))
+        cfg = TraceConfig(100, 300, 6)
+        first_of_second = scene._parts[1][2][0]
+        both_hit = []
+        kernel = scene.batch_closest_hit
+
+        def logged_kernel(*args):
+            t, idx = kernel(*args)
+            both_hit.append(np.unique(idx[idx >= 0] >= first_of_second).size == 2)
+            return t, idx
+
+        monkeypatch.setattr(scene, "batch_closest_hit", logged_kernel)
+        for src in sources:
+            curve = trace_energy_decay(scene, src, cfg)
+            energies, ray_bounces = reference_decay(scene, src, cfg)
+            assert np.array_equal(curve.energies, energies), src
+            assert curve.ray_bounces == ray_bounces, src
+        assert any(both_hit) == (mesh == OPEN_BESIDE_CLOSED_OBJ)
+
+    @pytest.mark.parametrize("mesh, sources", [
+        (TWO_HALLS_OBJ, HALL_POINTS),
+        (OPEN_BESIDE_CLOSED_OBJ, [CENTER, (9.0, 2.5, 2.5), (1.0, 4.0, 2.0)]),
+    ])
+    def test_separate_boxes_segments(self, mesh, sources):
+        scene = load_scene(mesh, default_materials_json(0.2))
+        cfg = TraceConfig(150, 12, 4)
+        results = trace_segments(scene, sources, cfg)
+        lengths, completed = reference_segments(scene, sources, cfg)
+        assert np.array_equal(np.concatenate([r.lengths for r in results]), lengths)
+        assert np.array_equal(
+            np.concatenate([r.bounces_completed for r in results]), completed)
+
+    @pytest.mark.parametrize("points, error", [
+        (HALL_POINTS, None),  # alternating between the halls
+        (HALL_POINTS[:2] + ((13.0, 7.0, 4.6),) + HALL_POINTS[2:],
+         "point 2: "),  # in the gap between the halls, above the small one
+    ])
+    def test_points_across_halls(self, points, error, monkeypatch):
+        # Per-point mean free paths and errors equal those of one ray set
+        # traced against the whole mesh, as before parts were split.
+        scene = load_scene(TWO_HALLS_OBJ, default_materials_json(0.2))
+        config = BakeConfig(er_rays=300)
+        pts = np.array(points)
+
+        def outcome():
+            try:
+                return _mean_free_paths(scene, pts, config)
+            except InputError as exc:
+                return str(exc)
+
+        got = outcome()
+        monkeypatch.setattr(scene, "_part_of", lambda low, high: -1)
+        monkeypatch.setattr(scene, "batch_closest_hit", lambda o, d, t: (
+            raycast.batch_closest_hit(o, d, scene._coeffs, t)))
+        assert got == outcome()
+        if error is None:
+            assert len(got) == len(points)
+        else:
+            assert got.startswith(error) and "escaped" in got
 
     def test_bincount_adds_like_add_at(self):
         # Deposits of very different sizes in repeated, unsorted bins:
