@@ -6,19 +6,25 @@ lose exactly 60 dB per RT60 seconds of recirculation, so the bank's tail
 decays at the requested rate regardless of the individual delays.
 
 `render_path` streams the signal through the bank in blocks of
-`BLOCK_SAMPLES`: every filter carries its delay line from block to block
-and each block computes its own cross-fade gains. Working memory beyond
-the input and the output is a fixed set of block buffers allocated once
-per render, and the output is allocated once and filled block by block.
-Within a block every filter is one recurrence,
+`BLOCK_SAMPLES`: every filter carries its delay line from block to block.
+Working memory beyond the input and the output is a fixed set of block
+buffers allocated once per render, and the output is allocated once and
+filled block by block. Every filter is one recurrence,
 y[n] = w[n] + g[n] * y[n - d], run in place in the filter's own buffer
-over rows of d samples, two ufunc calls a row; the output is
-bit-identical to the sample-by-sample recurrence.
+over rows of d samples, two ufunc calls a row. The row views into those
+buffers are built once per render, and each block runs a prefix of them.
+A block's comb gains are computed only where a cross-fade runs; a steady
+block reuses the gains already in the buffer. The output is
+bit-identical to the sample-by-sample recurrence, however the signal is
+split into blocks, so once the dry signal has ended the loop takes
+shorter blocks to stop soon after the tail falls silent.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +93,7 @@ def _round_half_away(x: float) -> int:
     return math.floor(x + 0.5)
 
 
+@functools.cache
 def coprime_comb_delays(sample_rate: int) -> tuple[int, int, int, int]:
     """Comb delays in samples, nudged to the nearest pairwise-coprime set.
 
@@ -136,72 +143,84 @@ def params_from_rt60(rt60_s: float, sample_rate: int,
 
 
 def _feedback_comb(w: np.ndarray, gain: float | np.ndarray,
-                   ypad: np.ndarray) -> np.ndarray:
-    """y[n] = w[n] + g[n] * y[n - d] over one block of w.size samples,
-    computed in place in `ypad`, a contiguous buffer of d + w.size samples
-    whose head holds the d prior outputs; `gain` is a scalar or one value
-    per sample. On return the head holds the block's last d outputs, and
-    the block's outputs are returned as the view ypad[d:].
+                   ypad: np.ndarray):
+    """Build y[n] = w[n] + g[n] * y[n - d] for blocks of up to w.size
+    samples, computed in place in `ypad`, a contiguous buffer of d + w.size
+    samples whose head holds the d prior outputs; `gain` is a scalar or one
+    value per sample of w. Returns `run(n)`, which runs one block over
+    w[:n] and gain[:n] (filled by the caller), leaves the block's last d
+    outputs at the head, and returns the block's outputs as ypad[d:d + n].
 
     The output is viewed as rows of d samples, so each row reads only the
-    row before it and two in-place ufunc calls compute it; the last
-    partial row is done once after the loop. The product is added to w[n]
-    as the scalar recurrence does, so every sample is bit-identical to it.
-    Only `ypad` is written; w and gain must not share memory with it.
+    row before it and two in-place ufunc calls compute it. The row views
+    are built here, once, over the whole buffers; a block runs the first
+    n // d of them, and its last partial row is done after the loop. The
+    product is added to w[n] as the scalar recurrence does, so every sample
+    is bit-identical to it. Only `ypad` is written; w and gain must not
+    share memory with it.
     """
-    n = w.size
-    d = ypad.size - n
+    d = ypad.size - w.size
     g = np.broadcast_to(gain, w.shape)
-    full = n - n % d
-    rows = ypad[:d + full].reshape(-1, d)
-    for prev, row, w_row, g_row in zip(rows[:-1], rows[1:],
-                                       w[:full].reshape(-1, d),
-                                       g[:full].reshape(-1, d)):
-        np.multiply(prev, g_row, out=row)
-        np.add(w_row, row, out=row)
-    if full < n:
-        row = ypad[d + full:]
-        np.multiply(ypad[full:n], g[full:], out=row)
-        np.add(w[full:], row, out=row)
-    # The head and the returned view do not overlap, so the view survives.
-    ypad[:d] = ypad[n:]
-    return ypad[d:]
+    full = w.size - w.size % d
+    ys = list(ypad[:d + full].reshape(-1, d))
+    ws = list(w[:full].reshape(-1, d))
+    gs = list(g[:full].reshape(-1, d))
+
+    def run(n: int) -> np.ndarray:
+        m = n // d
+        for prev, row, w_row, g_row in zip(ys[:m], ys[1:], ws, gs):
+            np.multiply(prev, g_row, out=row)
+            np.add(w_row, row, out=row)
+        if m * d < n:
+            row = ypad[d + m * d:d + n]
+            np.multiply(ypad[m * d:n], g[m * d:n], out=row)
+            np.add(w[m * d:n], row, out=row)
+        # The head and the returned view do not overlap, so the view survives.
+        ypad[:d] = ypad[n:n + d]
+        return ypad[d:d + n]
+    return run
 
 
-def _allpass(x: np.ndarray, state: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """y[n] = -g * x[n] + x[n - d] + g * y[n - d] over one block, in place
-    in `state`, a (2, d + x.size) buffer whose rows hold the inputs and the
-    outputs, each with its d prior values at the head. This is a feedback
-    comb fed with the feed-forward sum, which is computed for the whole
-    block first into the scratch `w` (x.size samples), as the scalar
-    recurrence adds it before the feedback term. Returns the outputs as a
-    view of state[1]."""
+def _allpass(state: np.ndarray, w: np.ndarray):
+    """Build y[n] = -g * x[n] + x[n - d] + g * y[n - d] for blocks of up to
+    w.size samples, in place in `state`, a (2, d + w.size) buffer whose rows
+    hold the inputs and the outputs, each with its d prior values at the
+    head. This is a feedback comb fed with the feed-forward sum, which is
+    computed for the whole block first into the scratch `w`, as the scalar
+    recurrence adds it before the feedback term. Returns `run(x)`, which
+    runs one block of x and returns its outputs as a view of state[1]."""
     g = DEFAULT_ALLPASS_GAIN
-    n = x.size
     xpad = state[0]
-    d = xpad.size - n
-    xpad[d:] = x
-    np.multiply(x, -g, out=w)
-    np.add(w, xpad[:n], out=w)
-    xpad[:d] = xpad[n:]
-    return _feedback_comb(w, g, state[1])
+    d = xpad.size - w.size
+    comb = _feedback_comb(w, g, state[1])
+
+    def run(x: np.ndarray) -> np.ndarray:
+        n = x.size
+        xpad[d:d + n] = x
+        np.multiply(x, -g, out=w[:n])
+        np.add(w[:n], xpad[:n], out=w[:n])
+        xpad[:d] = xpad[n:n + d]
+        return comb(n)
+    return run
 
 
-def _comb_gains(ramps: list, n_fade: int, b0: int, g: np.ndarray) -> np.ndarray:
+def _comb_gains(ramps: list, starts: list, n_fade: int, b0: int,
+                g: np.ndarray) -> np.ndarray:
     """Fill `g` with the comb gains for samples [b0, b0 + g.shape[1]), one
     row per comb, and return it. `ramps` lists (start sample, old, new) in
     schedule order, gains as (4, 1) columns; each moves linearly from old
-    to new over `n_fade` samples, then holds until a later one starts."""
+    to new over `n_fade` samples, then holds until a later one starts.
+    `starts` lists the ramps' start samples; each ramp is written only up
+    to the next one's start, so the work is linear in the ramps."""
     b1 = b0 + g.shape[1]
-    first = max(i for i, r in enumerate(ramps) if r[0] <= b0)
-    for s, old, new in ramps[first:]:
-        if s >= b1:
-            break
-        lo, hi = max(s, b0), min(s + n_fade, b1)
+    first, last = bisect_right(starts, b0) - 1, bisect_left(starts, b1)
+    for (s, old, new), end in zip(ramps[first:last],
+                                  starts[first + 1:last] + [b1]):
+        lo, hi = max(s, b0), min(s + n_fade, end)
         if hi > lo:
             steps = np.arange(lo - s + 1, hi - s + 1, dtype=np.float64)
             g[:, lo - b0:hi - b0] = old + (new - old) * steps / n_fade
-        g[:, max(lo, hi) - b0:] = new
+        g[:, max(lo, hi) - b0:end - b0] = new
     return g
 
 
@@ -280,11 +299,13 @@ def render_path(dry: AudioBuffer, cmap: ClusterMap,
              for _, cid in schedule]
     n_fade = max(1, int(round(FADE_S * fs)))
     gains = [np.array(p.comb_gains)[:, None] for p in plist]
-    ramps = [(0, gains[0], gains[0])]
+    ramps, starts = [(0, gains[0], gains[0])], [0]
     for t, new in zip(times[1:], gains[1:]):
         s = int(round(t * fs))
-        old = _comb_gains(ramps, n_fade, max(s - 1, 0), np.empty(new.shape))
+        old = _comb_gains(ramps, starts, n_fade, max(s - 1, 0),
+                          np.empty(new.shape))
         ramps.append((s, old, new))
+        starts.append(s)
 
     n_dry, block = x_dry.size, BLOCK_SAMPLES
     limit = n_dry + int(MAX_TAIL_S * fs)
@@ -298,6 +319,8 @@ def render_path(dry: AudioBuffer, cmap: ClusterMap,
     x_buf, acc_buf, scratch = np.empty(block), np.empty(block), np.empty(block)
     g_buf = np.empty((len(comb_delays), block))
     above = np.empty(block, dtype=bool)
+    comb_runs = [_feedback_comb(x_buf, g, c) for c, g in zip(combs, g_buf)]
+    allpass_runs = [_allpass(a, scratch) for a in allpasses]
     # The output grows by a block at a time only while the tail outruns
     # it, through ndarray.resize (a realloc); concatenating blocks would
     # hold two copies of it at once. It is sized by a resize too: numpy
@@ -311,13 +334,17 @@ def render_path(dry: AudioBuffer, cmap: ClusterMap,
     out = np.empty(0)
     out.resize(min(n_dry + block, limit), refcheck=False)
     b0 = cut = 0
+    held = False  # whether g_buf holds a steady block's gains throughout
     while b0 < n_dry or _tail_bound(comb_lines, allpass_lines) >= TAIL_FLOOR:
         if b0 >= limit:
             raise InputError(
                 f"reverb tail exceeds {MAX_TAIL_S:.0f} s past the input; "
                 "check the requested rt60"
             )
-        b1 = min(b0 + block, limit)
+        # Once the dry signal has ended, the tail bound is checked every
+        # eighth of a block, so the loop stops soon after the bound allows.
+        b1 = (min(b0 + block, n_dry) if b0 < n_dry
+              else min(b0 + max(block // 8, 1), limit))
         n = b1 - b0
         if b1 > out.size:
             out.resize(min(out.size + block, limit), refcheck=False)
@@ -327,12 +354,22 @@ def render_path(dry: AudioBuffer, cmap: ClusterMap,
         x[part.size:] = 0.0
         wet = acc_buf[:n]
         wet.fill(0.0)
-        gains = _comb_gains(ramps, n_fade, b0, g_buf[:, :n])
-        for c, d, g in zip(combs, comb_delays, gains):
-            wet += _feedback_comb(x, g, c[:d + n])
+        # A block is steady when its ramp has finished and no ramp starts
+        # in it; its gains are then that ramp's final ones throughout. Two
+        # steady blocks in a row share their ramp, since any other ramp
+        # starts inside a block between them.
+        i = bisect_right(starts, b0) - 1
+        if starts[i] + n_fade > b0 or bisect_left(starts, b1) > i + 1:
+            _comb_gains(ramps, starts, n_fade, b0, g_buf[:, :n])
+            held = False
+        elif not held:
+            g_buf[:] = ramps[i][2]
+            held = True
+        for comb in comb_runs:
+            wet += comb(n)
         wet *= _COMB_SCALE
-        for a, d in zip(allpasses, allpass_delays):
-            wet = _allpass(wet, a[:, :d + n], scratch[:n])
+        for allpass in allpass_runs:
+            wet = allpass(wet)
         mag = np.abs(wet, out=scratch[:n])
         hits = np.greater_equal(mag, TAIL_FLOOR, out=above[:n])[::-1]
         last = int(hits.argmax())

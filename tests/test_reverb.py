@@ -84,11 +84,11 @@ def allpass_reference(x, delay, gain):
 def comb(x, delay, gain):
     """One pass of the block kernel from an empty delay line."""
     gains = np.broadcast_to(np.asarray(gain, dtype=np.float64), x.shape)
-    return _feedback_comb(x, gains, np.zeros(delay + x.size))
+    return _feedback_comb(x, gains, np.zeros(delay + x.size))(x.size)
 
 
 def allpass(x, delay):
-    return _allpass(x, np.zeros((2, delay + x.size)), np.empty(x.size))
+    return _allpass(np.zeros((2, delay + x.size)), np.empty(x.size))(x)
 
 
 def impulse(n=2048):
@@ -108,6 +108,29 @@ def broadband(rt60):
     return sum((rt60,) * 4) / 4
 
 
+def reference_gains(fs, cmap, schedule, n):
+    """Each comb's feedback gain for samples [0, n), one list per comb:
+    the first cluster's gains, then at each switch a linear fade over
+    FADE_S from the gain before it, then the new cluster's gain.
+    `schedule` must already be folded."""
+    rt60s = [sum(cmap.clusters[c].rt60_bands) / 4 for _, c in schedule]
+    n_fade = int(round(FADE_S * fs))
+    switches = [int(round(t * fs)) for t, _ in schedule]
+    gains = []
+    for k in range(4):
+        targets = [params_from_rt60(rt, fs).comb_gains[k] for rt in rt60s]
+        g = [targets[0]] * n
+        for s, new in zip(switches[1:], targets[1:]):
+            old = g[s - 1] if s > 0 else g[0]
+            # One fade step per sample; numpy rounds each float64 element
+            # as Python rounds the same float expression.
+            steps = np.arange(1, n_fade + 1, dtype=np.float64)
+            g[s:s + n_fade] = (old + (new - old) * steps / n_fade).tolist()
+            g[s + n_fade:] = [new] * (n - s - n_fade)
+        gains.append(g)
+    return gains
+
+
 def reference_render(dry, fs, cmap, schedule, mix):
     """Sample-by-sample Schroeder recurrence with linear gain crossfades,
     run over the dry signal plus three times the longest RT60 of silence
@@ -117,18 +140,9 @@ def reference_render(dry, fs, cmap, schedule, mix):
     n_dry = len(dry)
     n = n_dry + int(3.0 * max(rt60s) * fs)
     x = list(dry) + [0.0] * (n - n_dry)
-    n_fade = int(round(FADE_S * fs))
-    switches = [int(round(t * fs)) for t, _ in schedule]
     p0 = params_from_rt60(rt60s[0], fs)
     acc = [0.0] * n
-    for k, d in enumerate(p0.comb_delays):
-        targets = [params_from_rt60(rt, fs).comb_gains[k] for rt in rt60s]
-        g = [targets[0]] * n
-        for s, new in zip(switches[1:], targets[1:]):
-            old = g[s - 1] if s > 0 else g[0]
-            for j in range(1, n_fade + 1):
-                g[s + j - 1] = old + (new - old) * j / n_fade
-            g[s + n_fade:] = [new] * (n - s - n_fade)
+    for d, g in zip(p0.comb_delays, reference_gains(fs, cmap, schedule, n)):
         y = [0.0] * (n + d)
         for i in range(n):
             y[i + d] = x[i] + g[i] * y[i]
@@ -297,17 +311,20 @@ class TestFilterKernels:
         x = rng.standard_normal(3000)
         g = np.linspace(0.95, 0.5, 3000)
         cuts = [0, 1, 2, 30, 31, 400, 1777, 1800, 3000]
-        # One buffer per filter, sized for the longest block, as render_path
-        # allocates them; each block's outputs are read before the next call.
+        # One buffer per filter, sized for the longest block, and one set of
+        # filters built over them, as render_path does; each block's inputs
+        # are copied into the input buffers, and its outputs are read before
+        # the next call.
         comb_buf, ap_buf = np.zeros(delay + 1777), np.zeros((2, delay + 1777))
-        w = np.empty(1777)
+        x_buf, g_buf, w = np.empty(1777), np.empty(1777), np.empty(1777)
+        run_comb = _feedback_comb(x_buf, g_buf, comb_buf)
+        run_allpass = _allpass(ap_buf, w)
         comb_out, ap_out = [], []
         for b0, b1 in zip(cuts, cuts[1:]):
             n = b1 - b0
-            comb_out.append(_feedback_comb(x[b0:b1], g[b0:b1],
-                                           comb_buf[:delay + n]).copy())
-            ap_out.append(_allpass(x[b0:b1], ap_buf[:, :delay + n],
-                                   w[:n]).copy())
+            x_buf[:n], g_buf[:n] = x[b0:b1], g[b0:b1]
+            comb_out.append(run_comb(n).copy())
+            ap_out.append(run_allpass(x[b0:b1]).copy())
         assert np.array_equal(np.concatenate(comb_out), comb(x, delay, g))
         assert np.array_equal(np.concatenate(ap_out), allpass(x, delay))
         assert np.array_equal(comb_buf[:delay], comb(x, delay, g)[-delay:])
@@ -349,7 +366,7 @@ class TestRowRecurrence:
         line = read_only(rng.standard_normal(delay))
         ypad = np.empty(delay + n)
         ypad[:delay] = line
-        y = _feedback_comb(x, gain, ypad)
+        y = _feedback_comb(x, gain, ypad)(n)
         ref_y, ref_line = recurrence_reference(x, gain, line)
         assert np.array_equal(y, ref_y)
         assert np.array_equal(ypad[:delay], ref_line)
@@ -369,7 +386,7 @@ class TestRowRecurrence:
         state = np.empty((2, delay + n))
         state[:, :delay] = line
         w = np.empty(n)
-        y = _allpass(x, state, w)
+        y = _allpass(state, w)(x)
         xpad = np.concatenate([line[0], x])
         ref_y, ref_y_line = recurrence_reference(
             np.array([-g * x[i] + xpad[i] for i in range(n)]), g, line[1])
@@ -554,14 +571,82 @@ class TestStreamedRender:
         ref = reference_render(dry, fs, cmap, schedule, mix)
         buf = AudioBuffer(fs, dry.copy())
         outs = [render_path(buf, cmap, schedule, mix).samples]
-        # Blocks shorter than the shortest allpass delay.
-        monkeypatch.setattr(reverb, "BLOCK_SAMPLES", 50)
-        outs.append(render_path(buf, cmap, schedule, mix).samples)
+        # Blocks shorter than the shortest allpass delay; then full blocks
+        # of a prime length and of a power of two, which run the prebuilt
+        # row views over whole blocks and give steady blocks after a ramp,
+        # ramps that straddle a block edge, and a ramp that starts inside a
+        # run of steady blocks.
+        for block in (50, 997, 4096):
+            monkeypatch.setattr(reverb, "BLOCK_SAMPLES", block)
+            outs.append(render_path(buf, cmap, schedule, mix).samples)
         assert ref.size > dry.size
         for out in outs:
             assert out.size == ref.size
             assert np.array_equal(out, ref)
         assert np.array_equal(buf.samples, dry)
+
+    def test_thousands_of_switches(self, monkeypatch):
+        # 2,000 switches between three clusters in 0.08 s, under two samples
+        # apart on average and some less than one, so that several ramps
+        # start on one sample and most fades overlap.
+        fs = FS
+        rng = np.random.default_rng(12)
+        gaps = rng.exponential(0.08 / 2000, 2000)
+        gaps[::7] = 0.3 / fs
+        times = np.cumsum(gaps)
+        schedule = [(0.0, 0)] + [(float(t), k % 3) for k, t in
+                                 enumerate(times[times < 0.08], start=1)]
+        assert len(schedule) > 1900
+        starts = [int(round(t * fs)) for t, _ in schedule]
+        assert len(set(starts)) < len(starts) - 500
+        cmap = baked_map([0.06, 0.1, 0.08])
+        dry = np.random.default_rng(13).standard_normal(int(0.1 * fs)) * 0.3
+        ref = reference_render(dry, fs, cmap, schedule, 0.8)
+        for block in (reverb.BLOCK_SAMPLES, 997):
+            monkeypatch.setattr(reverb, "BLOCK_SAMPLES", block)
+            out = render_path(AudioBuffer(fs, dry), cmap, schedule, 0.8)
+            assert np.array_equal(out.samples, ref)
+
+    @pytest.mark.parametrize("block", [997, 4096, 65536])
+    def test_combs_run_the_reference_gains(self, block, monkeypatch):
+        # Each comb's gain, sample by sample over the whole render, equals
+        # the reference ramp. The fade's last step,
+        # old + (new - old) * n_fade / n_fade, is not the new gain of the
+        # longest comb between these two clusters, so a block that starts
+        # on it is not yet steady; with 997-sample blocks every switch
+        # puts a block edge there.
+        fs = FS
+        n_fade = int(round(FADE_S * fs))
+        cmap = baked_map([0.2, 0.4])
+        schedule = [(0.0, 0)] + [((k * 997 - (n_fade - 1)) / fs, j % 2)
+                                 for j, k in enumerate((3, 6, 9, 12), start=1)]
+        old, new = (params_from_rt60(broadband(rt), fs).comb_gains[3]
+                    for rt in (0.2, 0.4))
+        assert old + (new - old) * float(n_fade) / n_fade != new
+        seen = []
+        build = reverb._feedback_comb
+
+        def recording(w, gain, ypad):
+            run, runs = build(w, gain, ypad), []
+            if not np.ndim(gain):  # an allpass, whose gain is a scalar
+                return run
+            seen.append(runs)
+
+            def recorded(n):
+                runs.append(gain[:n].copy())
+                return run(n)
+            return recorded
+
+        monkeypatch.setattr(reverb, "_feedback_comb", recording)
+        monkeypatch.setattr(reverb, "BLOCK_SAMPLES", block)
+        dry = np.random.default_rng(14).standard_normal(int(0.3 * fs)) * 0.3
+        out = render_path(AudioBuffer(fs, dry), cmap, schedule).samples
+        assert len(seen) == 4
+        used = [np.concatenate(runs) for runs in seen]
+        assert used[0].size >= out.size > dry.size
+        ref = reference_gains(fs, cmap, schedule, used[0].size)
+        for k in range(4):
+            assert used[k].tobytes() == np.array(ref[k]).tobytes()
 
     def test_tail_that_rises_again_is_kept(self, monkeypatch):
         # The four combs' tails of a 70 Hz tone cancel below the floor for
