@@ -155,26 +155,6 @@ def rt60_from_decay(curve: EnergyDecayCurve) -> Rt60Estimate:
     return Rt60Estimate(tuple(rts), tuple(rsq))
 
 
-def edc_from_impulse_response(samples: np.ndarray, sample_rate: int,
-                              bin_width_s: float = 1e-3) -> EnergyDecayCurve:
-    """Bin the squared impulse response into an energy histogram.
-
-    Useful for checking a rendered reverb tail against the RT60 that
-    parameterized it, through the exact same regression path as traces.
-    """
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise InputError("impulse response must be a non-empty 1-D array")
-    power = x * x
-    samples_per_bin = max(1, int(round(bin_width_s * sample_rate)))
-    n_bins = (x.size + samples_per_bin - 1) // samples_per_bin
-    padded = np.zeros(n_bins * samples_per_bin, dtype=np.float64)
-    padded[: x.size] = power
-    hist = padded.reshape(n_bins, samples_per_bin).sum(axis=1)
-    width = samples_per_bin / sample_rate
-    return EnergyDecayCurve(width, hist[:, None], (0.0, sample_rate / 2.0))
-
-
 def decay_csv_text(curve: EnergyDecayCurve) -> str:
     """CSV dump of the backward-integrated decay in dB per band."""
     buf = io.StringIO()

@@ -16,10 +16,6 @@ from dataclasses import dataclass, field
 
 from .errors import InputError, is_finite_real, is_int, is_point
 
-# Fitted range of the detection curve; outside it the line still
-# evaluates but results are flagged as extrapolated.
-DETECTION_FIT_RANGE_M = (2.0, 2.17)
-
 # Join tolerance, relative to the cluster reference. Absorbs the rounding
 # of the threshold product so boundary cases land on the intended side.
 _JOIN_SLACK_REL = 1e-12
@@ -58,24 +54,6 @@ class JndConstants:
 
 
 DEFAULT_JND = JndConstants()
-
-
-@dataclass(frozen=True)
-class DetectionProbability:
-    probability: float
-    extrapolated: bool
-
-
-def detection_probability_er(mu: float,
-                             constants: JndConstants = DEFAULT_JND) -> DetectionProbability:
-    """Probability a listener notices an early-reflection change at `mu`.
-
-    Clamped to [0, 1]; flagged extrapolated outside the fitted 2.0-2.17 m
-    range, where the line is a reporting convenience rather than a fit.
-    """
-    raw = constants.slope_per_m * mu + constants.intercept
-    lo, hi = DETECTION_FIT_RANGE_M
-    return DetectionProbability(min(1.0, max(0.0, raw)), not lo <= mu <= hi)
 
 
 def jnd_er(mu_ref: float, constants: JndConstants = DEFAULT_JND) -> float:

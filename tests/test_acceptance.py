@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 
 from conftest import baked_map, random_rays
+from measures import detection_probability_er, edc_from_impulse_response
 from scalar_oracle import mismatches, scene_closest_hit
 
 from echobake import pipeline
-from echobake.acoustics import (edc_from_impulse_response, mfp_analytic,
-                                rt60_from_decay, rt60_from_mfp, rt60_sabine)
+from echobake.acoustics import (mfp_analytic, rt60_from_decay, rt60_from_mfp,
+                                rt60_sabine)
 from echobake.audio_io import AudioBuffer
-from echobake.perception import (JndConstants, detection_probability_er,
-                                 jnd_lr)
+from echobake.perception import JndConstants, jnd_lr
 from echobake.pipeline import (BakeConfig, _aperture_distance, bake,
                                corridor_fixture, run_corridor_validation,
                                run_mfp_validation)

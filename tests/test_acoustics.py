@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from echobake.acoustics import (MFP_RT60_COEFF, SABINE_COEFF,
-                                decay_csv_text, edc_from_impulse_response,
-                                mfp_analytic, mfp_from_trace, rt60_from_decay,
-                                rt60_from_mfp, rt60_sabine, schroeder_integral)
+                                decay_csv_text, mfp_analytic, mfp_from_trace,
+                                rt60_from_decay, rt60_from_mfp, rt60_sabine,
+                                schroeder_integral)
 from echobake.errors import InputError, InsufficientDecayError
 from echobake.tracer import (EnergyDecayCurve, TraceConfig,
                              trace_energy_decay, trace_segments)
+
+from measures import edc_from_impulse_response
 
 CENTER = (2.5, 2.5, 2.5)
 

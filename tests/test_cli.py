@@ -184,6 +184,16 @@ class TestRender:
         assert rendered.duration_s > 0.2
         assert "1 reverb segment" in capsys.readouterr().out
 
+    def test_mix_out_of_range(self, workdir, baked, capsys):
+        out = workdir / "wet_mix.wav"
+        code = main(["render", "--bake", str(baked),
+                     "--dry", str(workdir / "dry.wav"),
+                     "--schedule", str(workdir / "schedule.csv"),
+                     "--out", str(out), "--mix", "1.5"])
+        assert code == 2
+        assert "wet_dry_mix" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_same_cluster_rows_coalesce(self, workdir, baked, capsys):
         # Samples 0 and 3 sit in the same cluster, so the second row
         # must fold away instead of scheduling a redundant switch.

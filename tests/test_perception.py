@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from echobake.errors import InputError
-from echobake.perception import (DEFAULT_JND, DETECTION_FIT_RANGE_M, Cluster,
-                                 ClusterMap, JndConstants, PathSample,
-                                 cluster_csv_text, cluster_path,
-                                 detection_probability_er, jnd_er, jnd_lr)
+from echobake.perception import (DEFAULT_JND, Cluster, ClusterMap,
+                                 JndConstants, PathSample, cluster_csv_text,
+                                 cluster_path, jnd_er, jnd_lr)
+
+from measures import DETECTION_FIT_RANGE_M, detection_probability_er
 
 
 def make_samples(mus):

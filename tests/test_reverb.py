@@ -245,7 +245,7 @@ class TestReverbParamsValidation:
         return ReverbParams(**base)
 
     def test_good_params_accept(self):
-        assert self.good().wet_dry_mix == 1.0
+        assert self.good().comb_gains == (0.8, 0.8, 0.8, 0.8)
 
     def test_shared_factor_rejected(self):
         with pytest.raises(InputError, match="share a factor"):
@@ -256,11 +256,6 @@ class TestReverbParamsValidation:
             self.good(comb_gains=(0.8, 1.0, 0.8, 0.8))
         with pytest.raises(InputError):
             self.good(comb_gains=(0.8, 0.0, 0.8, 0.8))
-
-    def test_mix_bounds(self):
-        with pytest.raises(InputError):
-            self.good(wet_dry_mix=1.5)
-        assert self.good(wet_dry_mix=0.0).wet_dry_mix == 0.0
 
     def test_zero_delay_rejected(self):
         with pytest.raises(InputError):
@@ -497,7 +492,8 @@ class TestRenderPath:
         assert np.abs(moved[late]).max() > 10 * np.abs(still[late]).max()
 
     def test_post_switch_decay_tracks_new_cluster(self):
-        from echobake.acoustics import edc_from_impulse_response, rt60_from_decay
+        from echobake.acoustics import rt60_from_decay
+        from measures import edc_from_impulse_response
         # Fire the impulse well after the fade finishes, so its whole
         # tail rings at the second cluster's reverberation time.
         cmap = baked_map([0.3, 1.0])
@@ -541,10 +537,65 @@ class TestRenderPath:
         assert np.array_equal(repeated.samples,
                               render_path(dry, cmap, [(0.0, 1)]).samples)
 
+    def test_mix_bounds(self):
+        dry = AudioBuffer(FS, impulse(100))
+        for bad in (1.5, -0.1, float("nan")):
+            with pytest.raises(InputError, match="wet_dry_mix"):
+                render_path(dry, baked_map([0.5]), [(0.0, 0)], wet_dry_mix=bad)
+        out = render_path(dry, baked_map([0.5]), [(0.0, 0)], wet_dry_mix=0.0)
+        assert np.array_equal(out.samples[:100], dry.samples)
+        assert not out.samples[100:].any()
+
     def test_unbaked_cluster_rejected(self):
         bare = ClusterMap((Cluster(0, 1, 2.0, 2.0, 0.02),), 1)
         with pytest.raises(InputError, match="no rt60"):
             render_path(AudioBuffer(FS, impulse(100)), bare, [(0.0, 0)])
+
+
+# Bytes a row view of `_feedback_comb` takes with its list slot: numpy 2.4
+# takes 120 for the view object and its shape, and the list 8 more.
+ROW_VIEW_BYTES = 160
+# Everything else the render allocates: the comb-gain ramp's temporaries,
+# (4, n_fade) float arrays of 77 kB each at 48 kHz, and Python objects.
+RENDER_SLACK_BYTES = 256 * 1024
+
+
+def render_bytes_bound(fs, furthest):
+    """Bytes render_path may hold at its peak when it wrote no sample past
+    `furthest`: the output, which grows a block at a time and so is at most
+    a block longer than that; each filter's delay line plus a block (two
+    rows for an allpass); the input, sum and scratch blocks; the four comb
+    gain rows; the block's bool mask; and each filter's row views, three
+    lists of one view per whole row of a block and one more previous row."""
+    block = reverb.BLOCK_SAMPLES
+    p = params_from_rt60(1.0, fs)
+    lines = (sum(d + block for d in p.comb_delays)
+             + 2 * sum(d + block for d in p.allpass_delays))
+    buffers = 8 * (lines + 3 * block + 4 * block) + block
+    views = sum(3 * (block // d) + 1
+                for d in p.comb_delays + p.allpass_delays)
+    return ((furthest + block) * 8 + buffers + views * ROW_VIEW_BYTES
+            + RENDER_SLACK_BYTES)
+
+
+def traced_render(monkeypatch, dry, cmap, schedule, mix=1.0):
+    """render_path under tracemalloc: the output, the traced peak in bytes,
+    and the furthest sample `_write_block` wrote."""
+    furthest, write = [0], reverb._write_block
+
+    def spy(out, b0, wet, *args):
+        furthest[0] = max(furthest[0], b0 + wet.size)
+        return write(out, b0, wet, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(reverb, "_write_block", spy)
+        tracemalloc.start()
+        try:
+            out = render_path(dry, cmap, schedule, mix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    return out, peak, furthest[0]
 
 
 # Schedules with three or more switches, fades that overlap (switches less
@@ -648,6 +699,25 @@ class TestStreamedRender:
         for k in range(4):
             assert used[k].tobytes() == np.array(ref[k]).tobytes()
 
+    def test_default_blocks_equal_65536_sample_blocks(self, monkeypatch):
+        # Ramps across a block edge of the default size only (32,768) and
+        # across one of both sizes (65,536), and a tail of several default
+        # blocks: the bytes must not depend on the block size.
+        fs = 48000
+        n_fade = int(round(FADE_S * fs))
+        dry = np.random.default_rng(15).standard_normal(2 * fs) * 0.1
+        cmap = baked_map([0.8, 1.2, 2.5])
+        schedule = [(0.0, 0), ((32768 - n_fade // 2) / fs, 1),
+                    ((65536 - n_fade // 2) / fs, 2)]
+        outs = []
+        for block in (65536, reverb.BLOCK_SAMPLES):
+            monkeypatch.setattr(reverb, "BLOCK_SAMPLES", block)
+            outs.append(render_path(AudioBuffer(fs, dry), cmap, schedule,
+                                    0.7).samples)
+        assert block < 65536
+        assert outs[1].size - dry.size > 3 * block
+        assert outs[0].tobytes() == outs[1].tobytes()
+
     def test_tail_that_rises_again_is_kept(self, monkeypatch):
         # The four combs' tails of a 70 Hz tone cancel below the floor for
         # 2,607 samples, longer than one recirculation period, and then
@@ -662,39 +732,35 @@ class TestStreamedRender:
             assert np.array_equal(out, ref)
 
     @pytest.mark.parametrize("seconds", [10, 60])
-    def test_peak_memory_is_bounded_by_the_output(self, seconds):
+    def test_peak_memory_is_bounded_by_the_output(self, seconds, monkeypatch):
         # Beyond the output, the render holds a fixed set of block buffers
-        # (about 16 blocks), whatever the length; one more copy of a 60 s
-        # output would be 44 blocks.
+        # (about 15 blocks), whatever the length; one more copy of a 60 s
+        # output would be 44 blocks at 65,536 samples a block.
         fs = 48000
         x = np.random.default_rng(9).standard_normal(seconds * fs)
         x *= 0.1
-        dry = AudioBuffer(fs, x)
         cmap = baked_map([1.0, 1.5])
-        tracemalloc.start()
-        try:
-            out = render_path(dry, cmap, [(0.0, 0), (seconds / 2, 1)], 0.5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert out.samples.size > x.size + reverb.BLOCK_SAMPLES
-        assert peak - out.samples.nbytes <= 20 * reverb.BLOCK_SAMPLES * 8
+        for block in (reverb.BLOCK_SAMPLES, 65536):
+            monkeypatch.setattr(reverb, "BLOCK_SAMPLES", block)
+            out, peak, furthest = traced_render(
+                monkeypatch, AudioBuffer(fs, x), cmap,
+                [(0.0, 0), (seconds / 2, 1)], 0.5)
+            assert out.samples.size > x.size + block
+            assert peak <= render_bytes_bound(fs, furthest)
 
-    def test_peak_memory_with_a_tail_of_several_blocks(self):
+    def test_peak_memory_with_a_tail_of_several_blocks(self, monkeypatch):
         # The output grows in place while the tail runs on, so a long tail
         # costs no more working memory than a short one.
         fs = 48000
         x = np.random.default_rng(11).standard_normal(10 * fs)
         x *= 0.1
         cmap = baked_map([4.0, 6.0])
-        tracemalloc.start()
-        try:
-            out = render_path(AudioBuffer(fs, x), cmap, [(0.0, 0), (5.0, 1)])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert out.samples.size - x.size >= 3 * reverb.BLOCK_SAMPLES
-        assert peak - out.samples.nbytes <= 20 * reverb.BLOCK_SAMPLES * 8
+        for block in (reverb.BLOCK_SAMPLES, 65536):
+            monkeypatch.setattr(reverb, "BLOCK_SAMPLES", block)
+            out, peak, furthest = traced_render(
+                monkeypatch, AudioBuffer(fs, x), cmap, [(0.0, 0), (5.0, 1)])
+            assert out.samples.size - x.size >= 3 * block
+            assert peak <= render_bytes_bound(fs, furthest)
 
     @pytest.mark.skipif(not _has_vmhwm(), reason="needs VmHWM in /proc/self/status")
     def test_process_peak_is_input_plus_output(self):
@@ -713,7 +779,7 @@ class TestStreamedRender:
         r = json.loads(proc.stdout)
         mb = 1 << 20
         assert r["tail"] > reverb.BLOCK_SAMPLES
-        # 8 MB of block buffers plus allocator slack (11 MB in all, measured
+        # 4 MB of block buffers plus allocator slack (7 MB in all, measured
         # on Linux); a second copy of the output would add 23 MB.
         margin = 16 * mb
         base = r["base"] + r["input"] + r["output"]
