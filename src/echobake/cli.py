@@ -79,8 +79,7 @@ def _cmd_bake(args) -> int:
     pts = parse_path_csv(_read(args.path), args.path)
     config = BakeConfig(seed=args.seed, er_rays=args.er_rays,
                         er_bounces=args.er_bounces, lr_rays=args.lr_rays,
-                        lr_bounces=args.lr_bounces, jnd_mode=args.jnd_mode,
-                        threads=args.threads)
+                        lr_bounces=args.lr_bounces, jnd_mode=args.jnd_mode)
     bakefile, stats = bake(scene, pts, config)
     pathlib.Path(args.out).write_bytes(bakefile.to_json_bytes())
     print(f"baked {stats.n_points} points into {stats.n_clusters} clusters "
@@ -189,7 +188,7 @@ def _cmd_validate(args) -> int:
             pathlib.Path(args.csv).write_text(report.csv_text())
             print(f"wrote {args.csv}")
     else:
-        config = BakeConfig(seed=args.seed, threads=args.threads)
+        config = BakeConfig(seed=args.seed)
         report = run_corridor_validation(config, full=args.full)
         for line in report.checks:
             print(line)
@@ -234,7 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--er-bounces", type=int, default=20)
     p.add_argument("--lr-rays", type=int, default=500)
     p.add_argument("--lr-bounces", type=int, default=300)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--export-clusters", help="also write per-sample CSV")
     p.set_defaults(fn=_cmd_bake)
 
@@ -273,7 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="run a verification suite")
     p.add_argument("--suite", choices=("table1", "corridor"), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--full", action="store_true",
                    help="corridor: also verify pointwise RT60")
     p.add_argument("--csv", help="write the report as CSV")

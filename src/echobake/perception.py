@@ -20,57 +20,31 @@ from .errors import InputError, is_finite_real, is_int, is_point
 # of the threshold product so boundary cases land on the intended side.
 _JOIN_SLACK_REL = 1e-12
 
-
-@dataclass(frozen=True)
-class JndConstants:
-    """Listening-test constants behind the clustering thresholds.
-
-    The detection probability for early reflections is linear in the mean
-    free path, `slope * mu + intercept`, fitted around a 2 m reference
-    room. Its 50% point sits 0.06 m above the reference, a 3% relative
-    threshold. Late reverb is more forgiving to simulate but less
-    forgiving to perturb: its threshold is the early one minus
-    `lr_offset` times the mean free path, leaving 1% relative.
-    """
-
-    slope_per_m: float = 3.89
-    intercept: float = -7.5
-    lr_offset: float = 0.02
-    mu_ref_m: float = 2.0
-    jnd_er_abs_m: float = 0.06
-
-    def __post_init__(self) -> None:
-        fifty = (0.5 - self.intercept) / self.slope_per_m - self.mu_ref_m
-        if not 0.055 <= fifty <= 0.065:
-            raise InputError(
-                "inconsistent constants: the 50% detection point implies an "
-                f"early-reflection threshold of {fifty:.4f} m"
-            )
-        if abs(self.jnd_er_abs_m - fifty) > 0.005:
-            raise InputError(
-                f"jnd_er_abs_m {self.jnd_er_abs_m} disagrees with the "
-                f"detection line's 50% point {fifty:.4f}"
-            )
+# Listening-test constants behind the clustering thresholds. The detection
+# probability for early reflections rises linearly with the mean free path
+# around a 2 m reference room; its 50% point sits 0.06 m above the
+# reference, a 3% relative threshold. Late reverb is more forgiving to
+# simulate but less forgiving to perturb: its threshold is the early one
+# minus `LR_OFFSET` times the mean free path, leaving 1% relative.
+MU_REF_M = 2.0
+JND_ER_ABS_M = 0.06
+LR_OFFSET = 0.02
 
 
-DEFAULT_JND = JndConstants()
-
-
-def jnd_er(mu_ref: float, constants: JndConstants = DEFAULT_JND) -> float:
+def jnd_er(mu_ref: float) -> float:
     """Smallest noticeable mean-free-path change for early reflections."""
     if mu_ref <= 0.0:
         raise InputError("mu_ref must be positive")
-    return (constants.jnd_er_abs_m / constants.mu_ref_m) * mu_ref
+    return (JND_ER_ABS_M / MU_REF_M) * mu_ref
 
 
-def jnd_lr(mu_ref: float, constants: JndConstants = DEFAULT_JND) -> float:
+def jnd_lr(mu_ref: float) -> float:
     """Smallest noticeable mean-free-path change for late reverb.
 
-    The early-reflection threshold minus `lr_offset * mu_ref`; with the
-    default constants this is 1% of `mu_ref`, and at the 2 m reference
-    room it is exactly `jnd_er_abs_m - 0.04`.
+    The early-reflection threshold minus `LR_OFFSET * mu_ref`: 1% of
+    `mu_ref`, and at the 2 m reference room exactly `JND_ER_ABS_M - 0.04`.
     """
-    return jnd_er(mu_ref, constants) - constants.lr_offset * mu_ref
+    return jnd_er(mu_ref) - LR_OFFSET * mu_ref
 
 
 @dataclass(frozen=True)
@@ -152,16 +126,15 @@ class ClusterMap:
         return tuple(sorted(order[:n]))
 
 
-def _threshold(mu_ref: float, constants: JndConstants, mode: str) -> float:
+def _threshold(mu_ref: float, mode: str) -> float:
     if mode == "relative":
-        return jnd_lr(mu_ref, constants)
+        return jnd_lr(mu_ref)
     if mode == "absolute":
-        return jnd_lr(constants.mu_ref_m, constants)
+        return jnd_lr(MU_REF_M)
     raise InputError(f"unknown clustering mode {mode!r}")
 
 
 def cluster_path(samples: list[PathSample] | tuple[PathSample, ...],
-                 constants: JndConstants = DEFAULT_JND,
                  mode: str = "relative") -> ClusterMap:
     """Group consecutive samples whose mean free paths are indistinguishable.
 
@@ -173,9 +146,8 @@ def cluster_path(samples: list[PathSample] | tuple[PathSample, ...],
 
     Parameters
     ----------
-    mode : "relative" scales the threshold with the reference (1% of it
-        with default constants); "absolute" freezes the threshold at the
-        reference room's value in metres.
+    mode : "relative" scales the threshold with the reference (1% of it);
+        "absolute" freezes it at the reference room's value in metres.
     """
     if not samples:
         raise InputError("cluster_path requires at least one sample")
@@ -191,11 +163,11 @@ def cluster_path(samples: list[PathSample] | tuple[PathSample, ...],
     def close(stop: int) -> None:
         mean = total / (stop - start)
         clusters.append(Cluster(start, stop, ref, mean,
-                                _threshold(ref, constants, mode)))
+                                _threshold(ref, mode)))
 
     for i in range(1, len(samples)):
         mu = samples[i].mu
-        thr = _threshold(ref, constants, mode)
+        thr = _threshold(ref, mode)
         if abs(mu - ref) <= thr + _JOIN_SLACK_REL * ref:
             total += mu
         else:

@@ -24,9 +24,10 @@ from . import __version__
 from .acoustics import Rt60Estimate, mfp_analytic, mfp_from_trace, rt60_from_decay
 from .errors import (EchobakeError, InputError, ValidationFailure,
                      is_finite_real, is_int, is_point)
-from .perception import DEFAULT_JND, Cluster, ClusterMap, PathSample, cluster_path
+from .perception import Cluster, ClusterMap, PathSample, cluster_path
 from .scene import BandLayout, Scene, analytic_volume_and_area, load_scene
-from .shapes import corridor_aperture_planes, validation_shapes
+from .shapes import (corridor_aperture_planes, default_materials_json,
+                     validation_shapes)
 from .tracer import (PathTraceResult, TraceConfig, trace_energy_decay,
                      trace_segments)
 
@@ -39,6 +40,9 @@ MAX_CLUSTERS = 12
 MIN_COVERAGE = 0.8
 MU_FLATNESS = 0.015
 RT60_TOLERANCE = 0.05
+# Largest relative error of a traced mean free path against 4V/S that the
+# table-1 suite accepts.
+MFP_TOLERANCE = 0.05
 APERTURE_RADIUS_M = 0.5
 
 # A point more than this fraction of whose low-order rays leave the scene is
@@ -276,7 +280,7 @@ def bake(scene: Scene, positions,
                    mus[i])
         for i in range(n)
     )
-    cmap = cluster_path(samples, DEFAULT_JND, mode=config.jnd_mode)
+    cmap = cluster_path(samples, mode=config.jnd_mode)
 
     lr_cfg = config.lr_trace_config()
     clusters = []
@@ -372,7 +376,6 @@ class MfpRow:
     mu_traced: float
     pct_error: float
     n_segments: int
-    elapsed_ms: float
 
 
 @dataclass(frozen=True)
@@ -388,14 +391,13 @@ class MfpReport:
         return "\n".join(lines) + "\n"
 
 
-def run_mfp_validation(n_rays: int = 500, n_bounces: int = 20,
-                       seed: int = 0, tolerance: float = 0.05) -> MfpReport:
+def run_mfp_validation(seed: int = 0) -> MfpReport:
     """Trace the four analytic shapes and compare against 4V/S.
 
-    Raises ValidationFailure if any shape's traced mean free path misses
-    the analytic value by more than `tolerance`.
+    Each shape gets the paper's trace, `TraceConfig`'s default 500 rays of
+    20 bounces. Raises ValidationFailure if any shape's traced mean free
+    path misses the analytic value by more than `MFP_TOLERANCE`.
     """
-    from .shapes import default_materials_json
     mats = default_materials_json()
     rows: list[MfpRow] = []
     failures: list[str] = []
@@ -404,21 +406,19 @@ def run_mfp_validation(n_rays: int = 500, n_bounces: int = 20,
         scene = load_scene(fixture.mesh_text, mats)
         volume, area = analytic_volume_and_area(scene)
         mu_an = mfp_analytic(volume, area)
-        t0 = time.perf_counter()
         [result] = trace_segments(scene, [fixture.source],
-                                  TraceConfig(n_rays, n_bounces, seed))
+                                  TraceConfig(rng_seed=seed))
         est = mfp_from_trace(result)
-        elapsed = (time.perf_counter() - t0) * 1000.0
         err = est.relative_error(mu_an)
         rows.append(MfpRow(fixture.name, mu_an, est.mean_free_path,
-                           100.0 * err, est.n_segments, elapsed))
-        if err > tolerance:
+                           100.0 * err, est.n_segments))
+        if err > MFP_TOLERANCE:
             failures.append(f"{fixture.name}: {100 * err:.2f}%")
     report = MfpReport(tuple(rows), time.perf_counter() - t_start)
     if failures:
         raise ValidationFailure(
             "mean free path error beyond "
-            f"{100 * tolerance:.1f}%: {', '.join(failures)}"
+            f"{100 * MFP_TOLERANCE:.1f}%: {', '.join(failures)}"
         )
     return report
 

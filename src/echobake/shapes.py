@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 
 
-def default_materials_json(alpha: float = 0.2, n_bands: int = 4) -> str:
-    """Material table with a single uniform material named ``default``."""
-    return json.dumps({"materials": {"default": [alpha] * n_bands}})
+def default_materials_json(alpha: float = 0.2) -> str:
+    """Table of one uniform material, ``default``, over the 4 default bands."""
+    return json.dumps({"materials": {"default": [alpha] * 4}})
 
 
 class _MeshWriter:

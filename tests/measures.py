@@ -9,12 +9,44 @@ from dataclasses import dataclass
 import numpy as np
 
 from echobake.errors import InputError
-from echobake.perception import DEFAULT_JND, JndConstants
+from echobake.perception import JND_ER_ABS_M, MU_REF_M
 from echobake.tracer import EnergyDecayCurve
+
+# The listening test's detection line for early reflections,
+# `slope * mu + intercept`, fitted around the 2 m reference room.
+DETECTION_SLOPE_PER_M = 3.89
+DETECTION_INTERCEPT = -7.5
 
 # Fitted range of the detection curve; outside it the line still
 # evaluates but results are flagged as extrapolated.
 DETECTION_FIT_RANGE_M = (2.0, 2.17)
+
+
+def check_detection_line(slope_per_m: float = DETECTION_SLOPE_PER_M,
+                         intercept: float = DETECTION_INTERCEPT,
+                         jnd_er_abs_m: float = JND_ER_ABS_M) -> float:
+    """The early-reflection threshold the line's 50% point implies.
+
+    Raises InputError unless that point lies within 5 mm of 0.06 m above
+    the reference room, and of the package's `JND_ER_ABS_M`.
+    """
+    fifty = (0.5 - intercept) / slope_per_m - MU_REF_M
+    if not 0.055 <= fifty <= 0.065:
+        raise InputError(
+            "inconsistent constants: the 50% detection point implies an "
+            f"early-reflection threshold of {fifty:.4f} m"
+        )
+    if abs(jnd_er_abs_m - fifty) > 0.005:
+        raise InputError(
+            f"jnd_er_abs_m {jnd_er_abs_m} disagrees with the "
+            f"detection line's 50% point {fifty:.4f}"
+        )
+    return fifty
+
+
+# Every test that imports these measures first ties the line to the
+# package's threshold.
+check_detection_line()
 
 
 @dataclass(frozen=True)
@@ -23,14 +55,13 @@ class DetectionProbability:
     extrapolated: bool
 
 
-def detection_probability_er(mu: float,
-                             constants: JndConstants = DEFAULT_JND) -> DetectionProbability:
+def detection_probability_er(mu: float) -> DetectionProbability:
     """Probability a listener notices an early-reflection change at `mu`.
 
     Clamped to [0, 1]; flagged extrapolated outside the fitted 2.0-2.17 m
     range, where the line is a reporting convenience rather than a fit.
     """
-    raw = constants.slope_per_m * mu + constants.intercept
+    raw = DETECTION_SLOPE_PER_M * mu + DETECTION_INTERCEPT
     lo, hi = DETECTION_FIT_RANGE_M
     return DetectionProbability(min(1.0, max(0.0, raw)), not lo <= mu <= hi)
 

@@ -11,14 +11,15 @@ import numpy as np
 import pytest
 
 from conftest import baked_map, random_rays
-from measures import detection_probability_er, edc_from_impulse_response
+from measures import (DETECTION_INTERCEPT, DETECTION_SLOPE_PER_M,
+                      detection_probability_er, edc_from_impulse_response)
 from scalar_oracle import mismatches, scene_closest_hit
 
 from echobake import pipeline
 from echobake.acoustics import (mfp_analytic, rt60_from_decay, rt60_from_mfp,
                                 rt60_sabine)
 from echobake.audio_io import AudioBuffer
-from echobake.perception import JndConstants, jnd_lr
+from echobake.perception import JND_ER_ABS_M, MU_REF_M, jnd_lr
 from echobake.pipeline import (BakeConfig, _aperture_distance, bake,
                                corridor_fixture, run_corridor_validation,
                                run_mfp_validation)
@@ -35,9 +36,19 @@ def corridor_run():
     return report, time.perf_counter() - t0
 
 
-def test_criterion_1_mean_free_path_accuracy():
-    report = run_mfp_validation(n_rays=500, n_bounces=20, seed=0,
-                                tolerance=0.05)
+def test_criterion_1_mean_free_path_accuracy(monkeypatch):
+    # The suite runs the paper's trace, 500 rays of 20 bounces per shape,
+    # against a 5% bound.
+    configs, traced = [], pipeline.trace_segments
+
+    def spy(scene, sources, config):
+        configs.append(config)
+        return traced(scene, sources, config)
+
+    monkeypatch.setattr(pipeline, "trace_segments", spy)
+    assert pipeline.MFP_TOLERANCE == 0.05
+    report = run_mfp_validation(seed=0)
+    assert configs == [TraceConfig(500, 20, 0)] * 4
     errors = {r.name: r.pct_error for r in report.rows}
     assert set(errors) == {"cube", "rect_prism", "square_pyramid",
                            "pillar_room"}
@@ -57,10 +68,9 @@ def test_criterion_2_metric_constants():
     assert 0.50 <= p.probability <= 0.52
     assert not p.extrapolated
 
-    c = JndConstants()
-    fifty = (0.5 - c.intercept) / c.slope_per_m - c.mu_ref_m
+    fifty = (0.5 - DETECTION_INTERCEPT) / DETECTION_SLOPE_PER_M - MU_REF_M
     assert 0.055 <= fifty <= 0.065
-    assert abs(c.jnd_er_abs_m - fifty) <= 0.005
+    assert abs(JND_ER_ABS_M - fifty) <= 0.005
 
 
 def test_criterion_3_corridor_clustering(corridor_run):

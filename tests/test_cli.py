@@ -113,6 +113,16 @@ class TestBake:
         assert code == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_threads_flag_is_gone(self, workdir, capsys):
+        out = workdir / "threads.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["bake", "--scene", str(workdir / "cube.obj"),
+                  "--path", str(workdir / "path.csv"), "--out", str(out),
+                  "--threads", "2"] + BAKE_SPEED)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestLookup:
     def test_by_index(self, baked, capsys):
@@ -404,7 +414,7 @@ class TestValidate:
         assert csv.read_text().count("\n") == 5
 
     def test_corridor_quick(self, workdir, capsys):
-        code = main(["validate", "--suite", "corridor", "--threads", "2"])
+        code = main(["validate", "--suite", "corridor"])
         assert code == 0
         out = capsys.readouterr().out
         assert "high-order traces: " in out

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from echobake.errors import InputError
-from echobake.perception import (DEFAULT_JND, Cluster, ClusterMap,
-                                 JndConstants, PathSample, cluster_csv_text,
+from echobake.perception import (JND_ER_ABS_M, LR_OFFSET, MU_REF_M, Cluster,
+                                 ClusterMap, PathSample, cluster_csv_text,
                                  cluster_path, jnd_er, jnd_lr)
 
-from measures import DETECTION_FIT_RANGE_M, detection_probability_er
+from measures import (DETECTION_FIT_RANGE_M, DETECTION_INTERCEPT,
+                      DETECTION_SLOPE_PER_M, check_detection_line,
+                      detection_probability_er)
 
 
 def make_samples(mus):
@@ -72,28 +74,26 @@ class TestJndThresholds:
         with pytest.raises(InputError):
             jnd_lr(-1.0)
 
-    @given(st.floats(0.01, 100.0), st.floats(0.001, 0.029))
-    def test_lr_tightens_with_offset(self, mu, offset):
-        custom = JndConstants(lr_offset=offset)
-        assert jnd_lr(mu, custom) < jnd_er(mu, custom)
-        assert jnd_lr(mu, custom) == pytest.approx(
-            jnd_er(mu) - offset * mu, rel=1e-12)
+    @given(st.floats(0.01, 100.0))
+    def test_lr_tightens_with_offset(self, mu):
+        assert jnd_lr(mu) == jnd_er(mu) - LR_OFFSET * mu
+        assert jnd_lr(mu) < jnd_er(mu)
 
 
 class TestJndConstantsConsistency:
     def test_defaults_are_self_consistent(self):
-        c = DEFAULT_JND
-        fifty = (0.5 - c.intercept) / c.slope_per_m - c.mu_ref_m
+        fifty = (0.5 - DETECTION_INTERCEPT) / DETECTION_SLOPE_PER_M - MU_REF_M
         assert 0.055 <= fifty <= 0.065
-        assert abs(c.jnd_er_abs_m - fifty) <= 0.005
+        assert abs(JND_ER_ABS_M - fifty) <= 0.005
+        assert check_detection_line() == fifty
 
     def test_inconsistent_slope_rejected(self):
         with pytest.raises(InputError, match="50%"):
-            JndConstants(slope_per_m=2.0)
+            check_detection_line(slope_per_m=2.0)
 
     def test_inconsistent_abs_threshold_rejected(self):
         with pytest.raises(InputError, match="disagrees"):
-            JndConstants(jnd_er_abs_m=0.07)
+            check_detection_line(jnd_er_abs_m=0.07)
 
 
 class TestClusterPath:

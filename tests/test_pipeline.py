@@ -504,23 +504,24 @@ class TestLookup:
 
 class TestMfpValidationSuite:
     def test_passes_and_reports_four_shapes(self):
-        report = run_mfp_validation(n_rays=200, n_bounces=10, tolerance=0.10)
+        report = run_mfp_validation()
         assert len(report.rows) == 4
         names = [r.name for r in report.rows]
         assert names == ["cube", "rect_prism", "square_pyramid", "pillar_room"]
         for row in report.rows:
-            assert row.pct_error < 10.0
+            assert row.pct_error <= 100 * pipeline.MFP_TOLERANCE
             assert row.n_segments > 0
 
     def test_csv_header(self):
-        report = run_mfp_validation(n_rays=100, n_bounces=5, tolerance=0.5)
+        report = run_mfp_validation()
         lines = report.csv_text().strip().split("\n")
         assert lines[0] == "shape,mu_analytic_m,mu_traced_m,pct_error,n_segments"
         assert len(lines) == 5
 
-    def test_impossible_tolerance_raises(self):
+    def test_impossible_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "MFP_TOLERANCE", 1e-9)
         with pytest.raises(ValidationFailure, match="mean free path"):
-            run_mfp_validation(n_rays=100, n_bounces=5, tolerance=1e-9)
+            run_mfp_validation()
 
 
 class TestParsePathCsv:
