@@ -49,9 +49,10 @@ APERTURE_RADIUS_M = 0.5
 # refused: it lies outside any closed room, or in one too open to reverberate.
 MAX_ESCAPE_FRACTION = 0.5
 
-# Path points are traced together in ER ray sets of at most this many rays
+# Path points are traced together in ER groups of at most this many rays
 # (the bundled corridor's 60 points at 500 rays fit in one), so the ER
-# stage's memory is set by this bound, not by the path's length.
+# stage's memory is set by this bound, not by the path's length or the
+# number of threads that trace a group's ray sets.
 ER_GROUP_RAYS = 2 ** 15
 
 
@@ -59,10 +60,11 @@ ER_GROUP_RAYS = 2 ** 15
 class BakeConfig:
     """Trace sizes and clustering choices for one bake.
 
-    `threads` is validated but changes nothing: the bake runs on the
-    calling thread. It is kept because the benchmark harness builds
-    ``BakeConfig(seed=..., threads=...)``, and it is absent from the
-    persisted file.
+    `threads` is validated but changes nothing: the low-order traces run
+    on one thread per CPU the process may use (see `trace_segments`), and
+    the rest of the bake on the calling thread. It is kept because the
+    benchmark harness builds ``BakeConfig(seed=..., threads=...)``, and it
+    is absent from the persisted file.
     """
 
     seed: int = 0
@@ -243,7 +245,7 @@ def _mean_free_path(result: PathTraceResult, index: int) -> float:
 
 def _mean_free_paths(scene: Scene, pts: np.ndarray,
                      config: BakeConfig) -> list[float]:
-    """Each point's low-order mean free path, from ray sets of at most
+    """Each point's low-order mean free path, from groups of at most
     `ER_GROUP_RAYS` rays, each reduced to its points' values before the
     next is traced."""
     er_cfg = config.er_trace_config()
@@ -260,8 +262,9 @@ def bake(scene: Scene, positions,
          config: BakeConfig = BakeConfig()) -> tuple[BakeFile, BakeStats]:
     """Precompute clustered late-reverb data along a listener path.
 
-    Every point gets one low-order trace, all of them in one ray set per
-    `ER_GROUP_RAYS` rays; then every cluster gets exactly one high-order
+    Every point gets one low-order trace, all of them in one
+    `trace_segments` call per `ER_GROUP_RAYS` rays, whose ray sets run on
+    one thread per CPU; then every cluster gets exactly one high-order
     trace, in turn. All points share one trace configuration, so
     neighbouring points see identical ray directions and their mean free
     paths differ only through geometry, not sampling noise.

@@ -373,11 +373,14 @@ def render_path(dry: AudioBuffer, cmap: ClusterMap,
         wet *= _COMB_SCALE
         for allpass in allpass_runs:
             wet = allpass(wet)
-        mag = np.abs(wet, out=scratch[:n])
-        hits = np.greater_equal(mag, TAIL_FLOOR, out=above[:n])[::-1]
-        last = int(hits.argmax())
-        if hits[last]:
-            cut = b1 - last
+        # Only a tail block can set the cut: a block that ends inside the
+        # dry signal would set one below the output's length of n_dry.
+        if b0 >= n_dry:
+            mag = np.abs(wet, out=scratch[:n])
+            hits = np.greater_equal(mag, TAIL_FLOOR, out=above[:n])[::-1]
+            last = int(hits.argmax())
+            if hits[last]:
+                cut = b1 - last
         _write_block(out, b0, wet, part, wet_dry_mix, scratch)
         b0 = b1
     out.resize(max(n_dry, cut), refcheck=False)

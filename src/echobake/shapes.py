@@ -14,10 +14,12 @@ import json
 import math
 from dataclasses import dataclass
 
+from .scene import BandLayout
+
 
 def default_materials_json(alpha: float = 0.2) -> str:
-    """Table of one uniform material, ``default``, over the 4 default bands."""
-    return json.dumps({"materials": {"default": [alpha] * 4}})
+    """Table of one uniform material, ``default``, over the default bands."""
+    return json.dumps({"materials": {"default": [alpha] * BandLayout().n_bands}})
 
 
 class _MeshWriter:

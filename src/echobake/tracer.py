@@ -3,8 +3,9 @@
 Rays are emitted uniformly over the sphere from per-ray random streams
 keyed by (seed, ray index), so results never depend on execution order or
 batching. `trace_segments` records free-path segment lengths for the mean
-free path estimator, for any number of sources, one ray set per isolated
-part of the scene (`Scene.batch_closest_hit` then tests only that part);
+free path estimator, for any number of sources, in ray sets that each hold
+one isolated part's sources (`Scene.batch_closest_hit` then tests only that
+part), traced on one thread per CPU the process may use;
 `trace_energy_decay` follows the same geometry from one source while
 attenuating a per-band energy payload at every surface hit and depositing
 it into a time histogram, which later feeds the decay-regression RT60.
@@ -24,6 +25,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,9 +212,19 @@ def _keep(mask: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(a.take(keep, axis=-1) for a in arrays)
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask where
+    the platform has one (taskset and cpusets narrow it), else the count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def trace_segments(scene: Scene, sources, config: TraceConfig,
                    first_index: int = 0) -> list[PathTraceResult]:
-    """Trace specular free paths from every source as one ray set.
+    """Trace specular free paths from every source, in ray sets traced
+    concurrently.
 
     Parameters
     ----------
@@ -222,9 +235,14 @@ def trace_segments(scene: Scene, sources, config: TraceConfig,
     first_index : the point index errors give `sources[0]`.
 
     Returns one result per source, in order, each exactly that of a
-    one-source trace, so the sources in each isolated part of the scene
-    are traced as their own ray set (see `Scene.batch_closest_hit`).
-    Memory grows with n * n_rays * n_bounces.
+    one-source trace. So the sources of each isolated part of the scene
+    form their own ray sets (see `Scene.batch_closest_hit`), cut into
+    contiguous slices so that there are about as many sets as CPUs the
+    process may run on, and the sets are traced on that many threads: the
+    kernel's numpy calls release the interpreter lock. With one CPU or one
+    set, everything runs on the calling thread. Memory grows with
+    n * n_rays * n_bounces, plus one kernel scratch buffer (about 2.8 MB)
+    per thread.
 
     Raises
     ------
@@ -232,19 +250,36 @@ def trace_segments(scene: Scene, sources, config: TraceConfig,
         ``point i: ...`` for a source that is not finite or lies outside
         the scene.
     NoCollisionsError
-        ``point i: ...`` for a source none of whose rays hit a surface; its
-        mean free path is undefined.
+        ``point i: ...`` for the first source none of whose rays hit a
+        surface; its mean free path is undefined.
     """
     srcs = np.asarray(sources, dtype=np.float64)
     if srcs.ndim != 2 or srcs.shape[1] != 3:
         raise InputError(f"sources must be an (n, 3) array, got shape {srcs.shape}")
     for i, src in enumerate(srcs, first_index):
         _check_source(scene, src, f"point {i}: ")
-    part = [scene._part_of(src, src) for src in srcs]
+    by_part: dict[int, list[int]] = {}
+    for i, src in enumerate(srcs):
+        by_part.setdefault(scene._part_of(src, src), []).append(i)
+    cpus = _cpus()
+    size = max(1, math.ceil(len(srcs) / cpus))
+    sets = [rows[a:a + size] for rows in by_part.values()
+            for a in range(0, len(rows), size)]
+    # Filled here, so that no two threads both miss the cache and compute it.
+    sphere_directions(config.rng_seed, config.n_rays)
+
+    def trace(rows: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        return _trace_paths(scene, srcs[rows], config)
+
+    workers = min(cpus, len(sets))
+    if workers > 1:
+        with ThreadPoolExecutor(workers) as pool:
+            paths = list(pool.map(trace, sets))
+    else:
+        paths = list(map(trace, sets))
     traced = {}
-    for g in set(part):
-        rows = [i for i, p in enumerate(part) if p == g]
-        traced.update(zip(rows, zip(*_trace_paths(scene, srcs[rows], config))))
+    for rows, set_paths in zip(sets, paths):
+        traced.update(zip(rows, zip(*set_paths)))
     results = []
     for i, src in enumerate(srcs):
         lengths, completed = traced[i]

@@ -15,7 +15,7 @@ from measures import (DETECTION_INTERCEPT, DETECTION_SLOPE_PER_M,
                       detection_probability_er, edc_from_impulse_response)
 from scalar_oracle import mismatches, scene_closest_hit
 
-from echobake import pipeline
+from echobake import pipeline, tracer
 from echobake.acoustics import (mfp_analytic, rt60_from_decay, rt60_from_mfp,
                                 rt60_sabine)
 from echobake.audio_io import AudioBuffer
@@ -149,12 +149,20 @@ def test_criterion_7_precomputation_economy(corridor_run, monkeypatch):
     assert bakefile.canonical_bytes() == report.bakefile.canonical_bytes()
 
 
-def test_criterion_8_deterministic_bakes(corridor_run):
+def test_criterion_8_deterministic_bakes(corridor_run, monkeypatch):
+    # The ER ray sets are traced on as many threads as the process has
+    # CPUs: here one, three and two, against the module fixture's bake on
+    # every CPU this process may use.
     report, _ = corridor_run
     scene, pts = corridor_fixture()
+    monkeypatch.setattr(tracer, "_cpus", lambda: 1)
     single, _ = bake(scene, pts, BakeConfig(threads=1))
+    monkeypatch.setattr(tracer, "_cpus", lambda: 3)
     triple, _ = bake(scene, pts, BakeConfig(threads=3))
     assert single.canonical_bytes() == triple.canonical_bytes()
+    monkeypatch.setattr(tracer, "_cpus", lambda: 2)
+    double, _ = bake(scene, pts)
+    assert single.canonical_bytes() == double.canonical_bytes()
     # The module fixture baked the same inputs with threads=2.
     assert single.canonical_bytes() == report.bakefile.canonical_bytes()
 

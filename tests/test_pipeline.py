@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from echobake import pipeline
+from echobake import pipeline, tracer
 from echobake.acoustics import mfp_from_trace
 from echobake.audio_io import AudioBuffer
 from echobake.errors import InputError, ValidationFailure
@@ -142,11 +142,17 @@ class TestBake:
         assert (mus > 0).all()
         assert mus.max() - mus.min() < 0.01 * mus.mean()
 
-    def test_thread_count_does_not_change_output(self, cube_scene):
+    def test_thread_count_does_not_change_output(self, cube_scene,
+                                                 monkeypatch):
         a, _ = bake(cube_scene, short_line(), FAST)
         b, _ = bake(cube_scene, short_line(),
                     dataclasses.replace(FAST, threads=4))
         assert a.canonical_bytes() == b.canonical_bytes()
+        # The ER ray sets traced on one, two and three threads.
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(tracer, "_cpus", lambda: cpus)
+            c, _ = bake(cube_scene, short_line(), FAST)
+            assert a.canonical_bytes() == c.canonical_bytes(), cpus
 
     def test_repeat_bake_identical_but_for_timestamp(self, cube_scene,
                                                      cube_bake):

@@ -111,6 +111,12 @@ def test_malformed_material_table(table, named):
         parse_materials(table)
 
 
+def test_default_material_table_has_one_coefficient_per_default_band():
+    layout, [material] = parse_materials(default_materials_json(0.3))
+    assert layout.edges_hz == DEFAULT_BAND_EDGES
+    assert material.absorption == (0.3,) * (len(DEFAULT_BAND_EDGES) - 1)
+
+
 def test_band_layout_must_increase():
     with pytest.raises(InputError):
         BandLayout((0.0, 100.0, 100.0, 200.0, 22050.0))

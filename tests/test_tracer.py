@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -284,6 +287,82 @@ class TestBatchedSegments:
         cfg = TraceConfig(n_rays=50, n_bounces=5, rng_seed=1)
         a, b = trace_segments(cube_scene, [CENTER, CENTER], cfg)
         assert np.array_equal(a.lengths, b.lengths)
+
+
+class TestConcurrentRaySets:
+    """`trace_segments` traces its ray sets on one thread per CPU."""
+
+    # Four points in the large hall and three in the small one.
+    POINTS = HALL_POINTS + ((10.0, 2.0, 4.0),)
+
+    @pytest.mark.parametrize("cpus, n_sets", [(1, 2), (2, 2), (3, 3)])
+    def test_each_source_gets_its_one_source_trace(self, cpus, n_sets,
+                                                   monkeypatch):
+        scene = load_scene(TWO_HALLS_OBJ, default_materials_json(0.2))
+        cfg = TraceConfig(120, 15, 5)
+        alone = [trace_segments(scene, [p], cfg)[0] for p in self.POINTS]
+        sets = []
+        paths = tracer._trace_paths
+
+        def recorded(scene, srcs, config):
+            sets.append({scene._part_of(s, s) for s in srcs})
+            return paths(scene, srcs, config)
+
+        monkeypatch.setattr(tracer, "_trace_paths", recorded)
+        monkeypatch.setattr(tracer, "_cpus", lambda: cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # many more thread switches than usual
+        try:
+            results = trace_segments(scene, self.POINTS, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        # Every set holds the points of exactly one hall.
+        assert len(sets) == n_sets and all(len(parts) == 1 for parts in sets)
+        for res, one in zip(results, alone, strict=True):
+            assert res.source == one.source
+            assert np.array_equal(res.lengths, one.lengths)
+            assert np.array_equal(res.bounces_completed, one.bounces_completed)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_errors_name_the_first_point_across_sets(self, cpus, monkeypatch):
+        # Points 1 and 3 see no surface, and are traced in different sets.
+        monkeypatch.setattr(tracer, "_cpus", lambda: cpus)
+        scene = load_scene(LONE_TRIANGLE_OBJ, default_materials_json())
+        hit, miss = (0.25, 0.25, 0.5), (1.5, 1.5, 0.0)
+        cfg = TraceConfig(n_rays=100, n_bounces=3)
+        with pytest.raises(NoCollisionsError, match="^point 1: no collisions"):
+            trace_segments(scene, [hit, miss, hit, (1.2, 1.8, 0.0), hit, hit], cfg)
+
+        # An error raised on a worker thread reaches the caller.
+        def failing(scene, srcs, config):
+            raise RuntimeError("worker failed")
+
+        monkeypatch.setattr(tracer, "_trace_paths", failing)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            trace_segments(scene, [hit] * 6, cfg)
+
+    def test_one_cpu_starts_no_thread(self, cube_scene, monkeypatch):
+        pools = []
+
+        def spy(workers):
+            pools.append(workers)
+            return ThreadPoolExecutor(workers)
+
+        monkeypatch.setattr(tracer, "ThreadPoolExecutor", spy)
+        cfg = TraceConfig(n_rays=20, n_bounces=3)
+        monkeypatch.setattr(tracer, "_cpus", lambda: 1)
+        trace_segments(cube_scene, [CENTER] * 4, cfg)
+        monkeypatch.setattr(tracer, "_cpus", lambda: 4)
+        trace_segments(cube_scene, [CENTER], cfg)  # one set
+        assert pools == []
+        trace_segments(cube_scene, [CENTER] * 3, cfg)
+        assert pools == [3]
+
+    def test_no_thread_outlives_the_call(self, cube_scene, monkeypatch):
+        monkeypatch.setattr(tracer, "_cpus", lambda: 3)
+        before = threading.enumerate()
+        trace_segments(cube_scene, [CENTER] * 6, TraceConfig(n_rays=20, n_bounces=3))
+        assert threading.enumerate() == before
 
 
 class TestTraceEnergyDecay:
