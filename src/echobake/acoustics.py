@@ -34,32 +34,15 @@ def mfp_analytic(volume: float, area: float) -> float:
     return 4.0 * volume / area
 
 
-@dataclass(frozen=True)
-class MfpEstimate:
-    mean_free_path: float
-    n_segments: int
-    n_rays: int
-    n_escaped: int
-
-    def relative_error(self, reference: float) -> float:
-        return abs(self.mean_free_path - reference) / reference
-
-
-def mfp_from_trace(result: PathTraceResult) -> MfpEstimate:
-    """Average segment length over every completed segment.
+def mfp_from_trace(result: PathTraceResult) -> float:
+    """Mean free path: the average length of every completed segment.
 
     Escaped rays contribute the segments they did complete; the estimator
     divides by the segment count, not by rays * bounces, so open scenes
     stay unbiased.
     """
     segs = result.flat_segments()
-    n_escaped = int(result.escaped.sum())
-    return MfpEstimate(
-        mean_free_path=float(segs.sum()) / segs.size,
-        n_segments=segs.size,
-        n_rays=result.config.n_rays,
-        n_escaped=n_escaped,
-    )
+    return float(segs.sum()) / segs.size
 
 
 def rt60_sabine(volume: float, area: float, absorption: float) -> float:

@@ -128,9 +128,9 @@ def _cmd_mfp(args) -> int:
     scene = _load_scene_args(args)
     [result] = trace_segments(scene, [_parse_point(args.source)],
                               TraceConfig(args.rays, args.bounces, args.seed))
-    est = mfp_from_trace(result)
-    print(f"traced mean free path: {est.mean_free_path:.4f} m "
-          f"({est.n_segments} segments, {est.n_escaped} rays escaped)")
+    mu = mfp_from_trace(result)
+    print(f"traced mean free path: {mu:.4f} m ({result.n_segments} segments, "
+          f"{int(result.escaped.sum())} rays escaped)")
     try:
         volume, area = analytic_volume_and_area(scene)
     except WatertightError:
@@ -138,7 +138,7 @@ def _cmd_mfp(args) -> int:
     else:
         mu_an = mfp_analytic(volume, area)
         print(f"analytic 4V/S: {mu_an:.4f} m "
-              f"(error {100 * est.relative_error(mu_an):.2f}%)")
+              f"(error {100 * abs(mu - mu_an) / mu_an:.2f}%)")
     if args.dump_segments:
         pathlib.Path(args.dump_segments).write_text(segments_csv_text(result))
         print(f"wrote {args.dump_segments}")
@@ -156,9 +156,9 @@ def _cmd_rt60(args) -> int:
         [result] = trace_segments(
             scene, [_parse_point(args.source)],
             TraceConfig(args.rays, args.bounces, args.seed))
-        est = mfp_from_trace(result)
-        bands = [rt60_from_mfp(est.mean_free_path, float(a)) for a in alphas]
-        label = f"eyring (traced mu {est.mean_free_path:.3f} m)"
+        mu = mfp_from_trace(result)
+        bands = [rt60_from_mfp(mu, float(a)) for a in alphas]
+        label = f"eyring (traced mu {mu:.3f} m)"
     else:
         curve = trace_energy_decay(
             scene, _parse_point(args.source),

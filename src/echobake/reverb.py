@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,47 +52,15 @@ BLOCK_SAMPLES = 32_768
 _COMB_SCALE = 0.25
 
 
-@dataclass(frozen=True)
-class ReverbParams:
-    """Delays in samples, gains dimensionless. Comb delays must be
-    pairwise coprime so the recirculation spikes interleave instead of
-    piling onto a common period."""
-
-    sample_rate: int
-    comb_delays: tuple[int, int, int, int]
-    comb_gains: tuple[float, float, float, float]
-    allpass_delays: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        if self.sample_rate <= 0:
-            raise InputError("sample_rate must be positive")
-        if any(d < 1 for d in self.comb_delays + self.allpass_delays):
-            raise InputError("filter delays must be at least 1 sample")
-        for i in range(len(self.comb_delays)):
-            for j in range(i + 1, len(self.comb_delays)):
-                if math.gcd(self.comb_delays[i], self.comb_delays[j]) != 1:
-                    raise InputError(
-                        f"comb delays {self.comb_delays[i]} and "
-                        f"{self.comb_delays[j]} share a factor"
-                    )
-        if any(not 0.0 < g < 1.0 for g in self.comb_gains):
-            raise InputError("comb gains must lie strictly in (0, 1)")
-
-
-def comb_feedback_gain(delay_s: float, rt60_s: float) -> float:
-    """Feedback giving a comb 60 dB of decay per rt60_s seconds."""
-    if delay_s <= 0.0 or rt60_s <= 0.0:
-        raise InputError("delay and rt60 must be positive")
-    return 10.0 ** (-3.0 * delay_s / rt60_s)
-
-
 def _round_half_away(x: float) -> int:
     return math.floor(x + 0.5)
 
 
 @functools.cache
 def coprime_comb_delays(sample_rate: int) -> tuple[int, int, int, int]:
-    """Comb delays in samples, nudged to the nearest pairwise-coprime set.
+    """Comb delays in samples, nudged to the nearest pairwise-coprime set,
+    so the recirculation spikes interleave instead of piling onto a common
+    period.
 
     Each delay starts at the exact millisecond target and moves to the
     closest integer coprime with every delay already chosen, so the
@@ -114,12 +81,19 @@ def coprime_comb_delays(sample_rate: int) -> tuple[int, int, int, int]:
     return tuple(chosen)
 
 
-def params_from_rt60(rt60_s: float, sample_rate: int) -> ReverbParams:
-    """Build the standard parameterization for a target decay time.
+def allpass_delays(sample_rate: int) -> tuple[int, int]:
+    """Allpass delays in samples, each rounded from its millisecond target."""
+    return tuple(_round_half_away(ms * sample_rate / 1000.0)
+                 for ms in ALLPASS_DELAYS_MS)
 
-    Raises InputError for unsupported sample rates and for RT60 values so
-    short that a comb's feedback would drop below 1e-4, at which point
-    the filter no longer produces a tail worth calling reverberation.
+
+def comb_gains(rt60_s: float, sample_rate: int) -> tuple[float, ...]:
+    """Each comb's feedback gain for a target decay time, in the order of
+    `coprime_comb_delays`.
+
+    Raises InputError for an unsupported sample rate, an RT60 that is not
+    positive, and any gain outside [`MIN_COMB_GAIN`, 1), which an RT60 too
+    short for the comb delays or not finite gives.
     """
     if sample_rate not in SUPPORTED_RATES:
         raise InputError(
@@ -127,16 +101,14 @@ def params_from_rt60(rt60_s: float, sample_rate: int) -> ReverbParams:
         )
     if rt60_s <= 0.0:
         raise InputError("rt60 must be positive")
-    delays = coprime_comb_delays(sample_rate)
-    gains = tuple(comb_feedback_gain(d / sample_rate, rt60_s) for d in delays)
-    if any(g < MIN_COMB_GAIN for g in gains):
+    gains = tuple(10.0 ** (-3.0 * (d / sample_rate) / rt60_s)
+                  for d in coprime_comb_delays(sample_rate))
+    if not all(MIN_COMB_GAIN <= g < 1.0 for g in gains):
         raise InputError(
-            f"rt60 {rt60_s} s is too short for the comb delays; "
-            "feedback degenerates below 1e-4"
+            f"rt60 {rt60_s} s gives comb gains outside [{MIN_COMB_GAIN}, 1): "
+            "it is too short for the comb delays, or not finite"
         )
-    ap = tuple(_round_half_away(ms * sample_rate / 1000.0)
-               for ms in ALLPASS_DELAYS_MS)
-    return ReverbParams(sample_rate, delays, gains, ap)
+    return gains
 
 
 def _feedback_comb(w: np.ndarray, gain: float | np.ndarray,
@@ -298,10 +270,9 @@ def render_path(dry: AudioBuffer, cmap: ClusterMap,
         raise InputError("schedule extends past the end of the audio")
 
     fs, x_dry = dry.sample_rate, dry.samples
-    plist = [params_from_rt60(_cluster_rt60(cmap, cid), fs)
+    gains = [np.array(comb_gains(_cluster_rt60(cmap, cid), fs))[:, None]
              for _, cid in schedule]
     n_fade = max(1, int(round(FADE_S * fs)))
-    gains = [np.array(p.comb_gains)[:, None] for p in plist]
     ramps, starts = [(0, gains[0], gains[0])], [0]
     for t, new in zip(times[1:], gains[1:]):
         s = int(round(t * fs))
@@ -314,11 +285,11 @@ def render_path(dry: AudioBuffer, cmap: ClusterMap,
     limit = n_dry + int(MAX_TAIL_S * fs)
     # Every buffer is allocated here, once: each filter's d-sample delay
     # line sits at the head of a buffer with room for one block after it.
-    comb_delays, allpass_delays = plist[0].comb_delays, plist[0].allpass_delays
+    comb_delays, ap_delays = coprime_comb_delays(fs), allpass_delays(fs)
     combs = [np.zeros(d + block) for d in comb_delays]
-    allpasses = [np.zeros((2, d + block)) for d in allpass_delays]
+    allpasses = [np.zeros((2, d + block)) for d in ap_delays]
     comb_lines = [c[:d] for c, d in zip(combs, comb_delays)]
-    allpass_lines = [a[:, :d] for a, d in zip(allpasses, allpass_delays)]
+    allpass_lines = [a[:, :d] for a, d in zip(allpasses, ap_delays)]
     x_buf, acc_buf, scratch = np.empty(block), np.empty(block), np.empty(block)
     g_buf = np.empty((len(comb_delays), block))
     above = np.empty(block, dtype=bool)

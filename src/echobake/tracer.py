@@ -115,7 +115,6 @@ class EnergyDecayCurve:
 
     bin_width_s: float
     energies: np.ndarray
-    band_edges_hz: tuple[float, ...]
     ray_bounces: int = 0  # rays passed to the kernel, summed over bounces
 
     @property
@@ -125,10 +124,6 @@ class EnergyDecayCurve:
     @property
     def n_bands(self) -> int:
         return self.energies.shape[1]
-
-    @property
-    def duration_s(self) -> float:
-        return self.n_bins * self.bin_width_s
 
     def times(self) -> np.ndarray:
         """Bin centre times in seconds."""
@@ -376,7 +371,7 @@ def trace_energy_decay(scene: Scene, source, config: TraceConfig) -> EnergyDecay
     n_bins = max(1, int(math.ceil(duration / BIN_WIDTH_S)))
     bins = np.minimum((times / BIN_WIDTH_S).astype(np.int64), n_bins - 1)
     hist = np.stack([np.bincount(bins, band, n_bins) for band in deposits], axis=1)
-    return EnergyDecayCurve(BIN_WIDTH_S, hist, scene.bands.edges_hz, ray_bounces)
+    return EnergyDecayCurve(BIN_WIDTH_S, hist, ray_bounces)
 
 
 def segments_csv_text(result: PathTraceResult) -> str:

@@ -83,4 +83,4 @@ def edc_from_impulse_response(samples: np.ndarray, sample_rate: int,
     padded[: x.size] = power
     hist = padded.reshape(n_bins, samples_per_bin).sum(axis=1)
     width = samples_per_bin / sample_rate
-    return EnergyDecayCurve(width, hist[:, None], (0.0, sample_rate / 2.0))
+    return EnergyDecayCurve(width, hist[:, None])

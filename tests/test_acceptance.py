@@ -109,7 +109,7 @@ def test_criterion_5_rt60_estimator_cross_check():
         t = (np.arange(int(3.0 * rt / w)) + 0.5) * w
         e = np.power(10.0, -6.0 * t / rt)
         est = rt60_from_decay(
-            EnergyDecayCurve(w, e[:, None], (0.0, 22050.0)))
+            EnergyDecayCurve(w, e[:, None]))
         assert abs(est.bands[0] - rt) / rt <= 0.02
         assert est.r_squared[0] > 0.999
 

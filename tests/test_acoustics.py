@@ -6,6 +6,7 @@ from echobake.acoustics import (MFP_RT60_COEFF, SABINE_COEFF,
                                 rt60_from_decay, rt60_from_mfp, rt60_sabine,
                                 schroeder_integral)
 from echobake.errors import InputError, InsufficientDecayError
+from echobake.pipeline import run_mfp_validation
 from echobake.tracer import (EnergyDecayCurve, TraceConfig,
                              trace_energy_decay, trace_segments)
 
@@ -19,7 +20,7 @@ def exponential_curve(rt60, duration=None, bin_width=1e-3):
     duration = 3.0 * rt60 if duration is None else duration
     t = (np.arange(int(duration / bin_width)) + 0.5) * bin_width
     e = np.power(10.0, -6.0 * t / rt60)
-    return EnergyDecayCurve(bin_width, e[:, None], (0.0, 22050.0))
+    return EnergyDecayCurve(bin_width, e[:, None])
 
 
 class TestClosedFormFormulas:
@@ -68,15 +69,19 @@ class TestMfpFromTrace:
     def test_cube_estimate_near_analytic(self, cube_scene):
         cfg = TraceConfig(n_rays=500, n_bounces=20, rng_seed=0)
         [res] = trace_segments(cube_scene, [CENTER], cfg)
-        est = mfp_from_trace(res)
-        assert est.n_segments == 500 * 20
-        assert est.n_escaped == 0
-        assert est.relative_error(10.0 / 3.0) < 0.05
+        mu = mfp_from_trace(res)
+        assert res.n_segments == 500 * 20
+        assert not res.escaped.any()
+        assert mu == pytest.approx(float(res.lengths.sum()) / (500 * 20),
+                                   rel=1e-12)
+        assert abs(mu - 10.0 / 3.0) / (10.0 / 3.0) < 0.05
 
     def test_relative_error_definition(self):
-        from echobake.acoustics import MfpEstimate
-        est = MfpEstimate(3.0, 10, 5, 0)
-        assert est.relative_error(4.0) == pytest.approx(0.25)
+        # Each table1 row's error is the traced value's distance from 4V/S,
+        # relative to 4V/S, in percent.
+        for r in run_mfp_validation().rows:
+            assert r.pct_error == 100 * (abs(r.mu_traced - r.mu_analytic)
+                                         / r.mu_analytic)
 
 
 class TestSchroederIntegral:
@@ -118,12 +123,12 @@ class TestDecayRegression:
     def test_shallow_decay_rejected(self):
         # Only falls ~4 dB over the whole curve.
         e = np.array([1.0, 0.8, 0.6, 0.5, 0.4])
-        curve = EnergyDecayCurve(1e-3, e[:, None], (0.0, 22050.0))
+        curve = EnergyDecayCurve(1e-3, e[:, None])
         with pytest.raises(InsufficientDecayError, match="insufficient"):
             rt60_from_decay(curve)
 
     def test_empty_band_rejected(self):
-        curve = EnergyDecayCurve(1e-3, np.zeros((4, 1)), (0.0, 22050.0))
+        curve = EnergyDecayCurve(1e-3, np.zeros((4, 1)))
         with pytest.raises(InsufficientDecayError, match="empty"):
             rt60_from_decay(curve)
 
@@ -132,7 +137,7 @@ class TestDecayRegression:
         # integral rise inside the fit window; the guard must catch it
         # instead of reporting a negative reverberation time.
         e = np.array([1.0, -0.004, 0.012, 1e-9])
-        curve = EnergyDecayCurve(1e-3, e[:, None], (0.0, 22050.0))
+        curve = EnergyDecayCurve(1e-3, e[:, None])
         with pytest.raises(InsufficientDecayError, match="not decreasing"):
             rt60_from_decay(curve)
 
@@ -140,7 +145,7 @@ class TestDecayRegression:
         base = exponential_curve(0.5)
         padded = np.vstack([base.energies, np.zeros((200, 1))])
         est = rt60_from_decay(
-            EnergyDecayCurve(base.bin_width_s, padded, base.band_edges_hz))
+            EnergyDecayCurve(base.bin_width_s, padded))
         assert est.bands[0] == pytest.approx(0.5, rel=1e-9)
 
 
@@ -151,7 +156,6 @@ class TestImpulseResponseEdc:
         assert curve.energies.shape == (3, 1)
         assert np.array_equal(curve.energies[:, 0], [1.0, 0.25, 0.0625])
         assert curve.bin_width_s == pytest.approx(1e-3)
-        assert curve.band_edges_hz == (0.0, 500.0)
 
     def test_partial_final_bin_zero_padded(self):
         curve = edc_from_impulse_response(

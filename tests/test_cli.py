@@ -204,6 +204,24 @@ class TestRender:
         assert "wet_dry_mix" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_rt60_beyond_the_comb_bank(self, workdir, baked, capsys):
+        # 1e308 is finite and positive, so the bake file loads, but four
+        # bands of it sum to an infinite broadband RT60.
+        doc = json.loads(baked.read_text())
+        for c in doc["clusters"]:
+            c["rt60_bands"] = [1e308] * len(c["rt60_bands"])
+        huge = workdir / "huge_rt60.json"
+        huge.write_text(json.dumps(doc))
+        BakeFile.from_json(huge.read_text())
+        out = workdir / "wet_huge.wav"
+        code = main(["render", "--bake", str(huge),
+                     "--dry", str(workdir / "dry.wav"),
+                     "--schedule", str(workdir / "schedule.csv"),
+                     "--out", str(out)])
+        assert code == 2
+        assert "comb gains" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_same_cluster_rows_coalesce(self, workdir, baked, capsys):
         # Samples 0 and 3 sit in the same cluster, so the second row
         # must fold away instead of scheduling a redundant switch.
@@ -317,6 +335,7 @@ class TestMfp:
         assert code == 0
         out = capsys.readouterr().out
         assert "traced mean free path" in out
+        assert "(4000 segments, 0 rays escaped)" in out
         assert "analytic 4V/S: 3.3333 m" in out
 
     def test_open_scene_skips_analytic(self, workdir, capsys):

@@ -121,7 +121,7 @@ class TestBake:
         monkeypatch.setattr(pipeline, "MAX_ESCAPE_FRACTION",
                             escaped / FAST.er_rays)
         assert pipeline._mean_free_paths(scene, pts, FAST) == [
-            mfp_from_trace(res).mean_free_path]
+            mfp_from_trace(res)]
         monkeypatch.setattr(pipeline, "MAX_ESCAPE_FRACTION",
                             (escaped - 1) / FAST.er_rays)
         with pytest.raises(InputError, match=f"^point 0: {escaped} of 60 "):
@@ -199,8 +199,7 @@ class TestEarlyReflectionGroups:
         mus = pipeline._mean_free_paths(scene, pts, config)
         assert groups == [7, 7, 6]
         cfg = config.er_trace_config()
-        assert mus == [mfp_from_trace(real(scene, [p], cfg)[0]).mean_free_path
-                       for p in pts]
+        assert mus == [mfp_from_trace(real(scene, [p], cfg)[0]) for p in pts]
 
     def test_errors_name_the_point_past_the_first_group(self, cube_scene,
                                                         monkeypatch):

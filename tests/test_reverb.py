@@ -17,10 +17,9 @@ from echobake.errors import InputError
 from echobake.perception import Cluster, ClusterMap
 from echobake.reverb import (ALLPASS_DELAYS_MS, COMB_DELAYS_MS,
                              DEFAULT_ALLPASS_GAIN, FADE_S, MIN_COMB_GAIN,
-                             SUPPORTED_RATES, TAIL_FLOOR, ReverbParams,
-                             _allpass, _feedback_comb, comb_feedback_gain,
-                             coprime_comb_delays, fold_schedule, params_from_rt60,
-                             render_path)
+                             SUPPORTED_RATES, TAIL_FLOOR, _allpass,
+                             _feedback_comb, allpass_delays, comb_gains,
+                             coprime_comb_delays, fold_schedule, render_path)
 
 FS = 44100
 
@@ -118,7 +117,7 @@ def reference_gains(fs, cmap, schedule, n):
     switches = [int(round(t * fs)) for t, _ in schedule]
     gains = []
     for k in range(4):
-        targets = [params_from_rt60(rt, fs).comb_gains[k] for rt in rt60s]
+        targets = [comb_gains(rt, fs)[k] for rt in rt60s]
         g = [targets[0]] * n
         for s, new in zip(switches[1:], targets[1:]):
             old = g[s - 1] if s > 0 else g[0]
@@ -140,16 +139,15 @@ def reference_render(dry, fs, cmap, schedule, mix):
     n_dry = len(dry)
     n = n_dry + int(3.0 * max(rt60s) * fs)
     x = list(dry) + [0.0] * (n - n_dry)
-    p0 = params_from_rt60(rt60s[0], fs)
     acc = [0.0] * n
-    for d, g in zip(p0.comb_delays, reference_gains(fs, cmap, schedule, n)):
+    for d, g in zip(coprime_comb_delays(fs), reference_gains(fs, cmap, schedule, n)):
         y = [0.0] * (n + d)
         for i in range(n):
             y[i + d] = x[i] + g[i] * y[i]
         for i in range(n):
             acc[i] += y[i + d]
     wet = [a * 0.25 for a in acc]
-    for d in p0.allpass_delays:
+    for d in allpass_delays(fs):
         xp = [0.0] * d + wet
         y = [0.0] * (n + d)
         for i in range(n):
@@ -163,25 +161,34 @@ def reference_render(dry, fs, cmap, schedule, mix):
 
 class TestCombGain:
     def test_thirty_ms_one_second(self):
-        assert comb_feedback_gain(0.030, 1.0) == 10.0 ** -0.09
-        assert comb_feedback_gain(0.030, 1.0) == pytest.approx(0.8128, abs=5e-5)
+        # Exact bits: the delay in seconds, then over the RT60, then pow.
+        for fs in SUPPORTED_RATES:
+            assert comb_gains(1.0, fs) == tuple(
+                10.0 ** (-3.0 * (d / fs) / 1.0) for d in coprime_comb_delays(fs))
+        # The shortest comb is 1,310 samples (29.7 ms) at 44.1 kHz.
+        assert comb_gains(1.0, 44100) == pytest.approx(
+            (0.8144873690866136, 0.773819119017599,
+             0.7527775638141663, 0.739454684588039), rel=1e-15)
+        assert comb_gains(1.0, 48000) == pytest.approx(
+            (0.8144698270210846, 0.773904728188861,
+             0.7528136758135814, 0.739498844961617), rel=1e-15)
 
     def test_longest_comb_half_second(self):
-        got = comb_feedback_gain(0.0437, 0.5)
-        assert got == pytest.approx(0.5467641107291688, rel=1e-15)
+        assert comb_gains(0.5, 44100)[3] == 10.0 ** (-3.0 * (1927 / 44100) / 0.5)
+        assert comb_gains(0.5, 44100) == pytest.approx(
+            (0.6633896744016334, 0.598796028957173,
+             0.5666740605819912, 0.5467932305591963), rel=1e-15)
 
     def test_huge_rt60_approaches_unity_from_below(self):
-        g = comb_feedback_gain(0.0297, 1e6)
-        assert 0.9999 < g < 1.0
+        assert all(0.9999 < g < 1.0 for g in comb_gains(1e6, FS))
 
     def test_longer_rt60_means_more_feedback(self):
-        assert comb_feedback_gain(0.03, 2.0) > comb_feedback_gain(0.03, 1.0)
+        assert all(a > b for a, b in zip(comb_gains(2.0, FS), comb_gains(1.0, FS)))
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(InputError):
-            comb_feedback_gain(0.0, 1.0)
-        with pytest.raises(InputError):
-            comb_feedback_gain(0.03, -1.0)
+        for rt in (0.0, -1.0):
+            with pytest.raises(InputError, match="rt60 must be positive"):
+                comb_gains(rt, FS)
 
 
 class TestCoprimeDelays:
@@ -204,62 +211,34 @@ class TestCoprimeDelays:
 class TestParamsFromRt60:
     def test_implied_rt60_round_trip(self):
         for rt in (0.3, 0.5, 1.0, 2.0, 5.0):
-            p = params_from_rt60(rt, FS)
             implied = max(-3.0 * (d / FS) / math.log10(g)
-                          for d, g in zip(p.comb_delays, p.comb_gains))
+                          for d, g in zip(coprime_comb_delays(FS),
+                                          comb_gains(rt, FS)))
             assert implied == pytest.approx(rt, rel=1e-12)
 
     def test_allpass_delays(self):
-        assert params_from_rt60(1.0, 44100).allpass_delays == (221, 75)
-        assert params_from_rt60(1.0, 48000).allpass_delays == (240, 82)
+        assert allpass_delays(44100) == (221, 75)
+        assert allpass_delays(48000) == (240, 82)
         assert ALLPASS_DELAYS_MS == (5.0, 1.7)
 
     def test_gains_ordered_by_delay(self):
-        p = params_from_rt60(1.0, FS)
-        # Longer loops need less per-pass decay... more feedback? No:
-        # a longer delay decays fewer times per second, so it needs a
-        # SMALLER gain to lose 60 dB in the same time.
-        assert sorted(p.comb_gains, reverse=True) == list(p.comb_gains)
+        # A longer delay recirculates fewer times per second, so it needs a
+        # smaller gain to lose 60 dB in the same time.
+        g = comb_gains(1.0, FS)
+        assert sorted(g, reverse=True) == list(g)
 
     def test_unsupported_rate_rejected(self):
         with pytest.raises(InputError, match="sample_rate"):
-            params_from_rt60(1.0, 22050)
+            comb_gains(1.0, 22050)
 
     def test_rt60_too_short_for_bank(self):
         with pytest.raises(InputError, match="too short"):
-            params_from_rt60(0.03, FS)
-        with pytest.raises(InputError):
-            params_from_rt60(0.0, FS)
+            comb_gains(0.03, FS)
+        with pytest.raises(InputError, match="rt60 must be positive"):
+            comb_gains(0.0, FS)
 
     def test_gains_above_floor(self):
-        p = params_from_rt60(0.04, FS)
-        assert all(g >= MIN_COMB_GAIN for g in p.comb_gains)
-
-
-class TestReverbParamsValidation:
-    def good(self, **kw):
-        base = dict(sample_rate=FS, comb_delays=(1310, 1637, 1813, 1927),
-                    comb_gains=(0.8, 0.8, 0.8, 0.8),
-                    allpass_delays=(221, 75))
-        base.update(kw)
-        return ReverbParams(**base)
-
-    def test_good_params_accept(self):
-        assert self.good().comb_gains == (0.8, 0.8, 0.8, 0.8)
-
-    def test_shared_factor_rejected(self):
-        with pytest.raises(InputError, match="share a factor"):
-            self.good(comb_delays=(1310, 1636, 1813, 1927))
-
-    def test_gain_bounds(self):
-        with pytest.raises(InputError):
-            self.good(comb_gains=(0.8, 1.0, 0.8, 0.8))
-        with pytest.raises(InputError):
-            self.good(comb_gains=(0.8, 0.0, 0.8, 0.8))
-
-    def test_zero_delay_rejected(self):
-        with pytest.raises(InputError):
-            self.good(allpass_delays=(0, 75))
+        assert all(g >= MIN_COMB_GAIN for g in comb_gains(0.04, FS))
 
 
 class TestFilterKernels:
@@ -399,16 +378,15 @@ class TestRenderReverb:
     """The plain reverberator: render_path on one cluster."""
 
     def test_matches_reference_chain_prefix(self):
-        p = params_from_rt60(broadband(0.4), FS)
         n = 4000
         out = render(impulse(n), 0.4)
         x = np.zeros(out.size)
         x[0] = 1.0
         acc = np.zeros_like(x)
-        for d, g in zip(p.comb_delays, p.comb_gains):
+        for d, g in zip(coprime_comb_delays(FS), comb_gains(broadband(0.4), FS)):
             acc += comb_reference(x, d, g)
         acc *= 0.25
-        for d in p.allpass_delays:
+        for d in allpass_delays(FS):
             acc = allpass_reference(acc, d, DEFAULT_ALLPASS_GAIN)
         assert np.array_equal(out, acc[:out.size])
 
@@ -546,6 +524,18 @@ class TestRenderPath:
         assert np.array_equal(out.samples[:100], dry.samples)
         assert not out.samples[100:].any()
 
+    @pytest.mark.parametrize("rt60, match", [
+        (float("nan"), "comb gains"), (float("inf"), "comb gains"),
+        (1e308, "comb gains"), (0.0, "rt60 must be positive"),
+        (-1.0, "rt60 must be positive"), (0.03, "too short")])
+    def test_rt60_outside_the_comb_bank_rejected(self, rt60, match):
+        # Four bands of 1e308 sum to an infinite broadband RT60. The bad
+        # cluster is refused whether it comes first or after a switch.
+        dry = AudioBuffer(FS, impulse(FS))
+        for schedule in ([(0.0, 1)], [(0.0, 0), (0.5, 1)]):
+            with pytest.raises(InputError, match=match):
+                render_path(dry, baked_map([0.5, rt60]), schedule)
+
     def test_unbaked_cluster_rejected(self):
         bare = ClusterMap((Cluster(0, 1, 2.0, 2.0, 0.02),), 1)
         with pytest.raises(InputError, match="no rt60"):
@@ -568,12 +558,12 @@ def render_bytes_bound(fs, furthest):
     gain rows; the block's bool mask; and each filter's row views, three
     lists of one view per whole row of a block and one more previous row."""
     block = reverb.BLOCK_SAMPLES
-    p = params_from_rt60(1.0, fs)
-    lines = (sum(d + block for d in p.comb_delays)
-             + 2 * sum(d + block for d in p.allpass_delays))
+    combs, allpasses = coprime_comb_delays(fs), allpass_delays(fs)
+    lines = (sum(d + block for d in combs)
+             + 2 * sum(d + block for d in allpasses))
     buffers = 8 * (lines + 3 * block + 4 * block) + block
     views = sum(3 * (block // d) + 1
-                for d in p.comb_delays + p.allpass_delays)
+                for d in combs + allpasses)
     return ((furthest + block) * 8 + buffers + views * ROW_VIEW_BYTES
             + RENDER_SLACK_BYTES)
 
@@ -671,8 +661,7 @@ class TestStreamedRender:
         cmap = baked_map([0.2, 0.4])
         schedule = [(0.0, 0)] + [((k * 997 - (n_fade - 1)) / fs, j % 2)
                                  for j, k in enumerate((3, 6, 9, 12), start=1)]
-        old, new = (params_from_rt60(broadband(rt), fs).comb_gains[3]
-                    for rt in (0.2, 0.4))
+        old, new = (comb_gains(broadband(rt), fs)[3] for rt in (0.2, 0.4))
         assert old + (new - old) * float(n_fade) / n_fade != new
         seen = []
         build = reverb._feedback_comb

@@ -280,8 +280,7 @@ class TestBatchedSegments:
             assert res.source == one.source == tuple(p)
             assert np.array_equal(res.lengths, one.lengths)
             assert np.array_equal(res.bounces_completed, one.bounces_completed)
-            assert (mfp_from_trace(res).mean_free_path
-                    == mfp_from_trace(one).mean_free_path)
+            assert mfp_from_trace(res) == mfp_from_trace(one)
 
     def test_repeated_source_gets_identical_rays(self, cube_scene):
         cfg = TraceConfig(n_rays=50, n_bounces=5, rng_seed=1)
@@ -388,7 +387,7 @@ class TestTraceEnergyDecay:
         scene = load_scene(cube_obj(5.0), default_materials_json(0.99))
         curve = trace_energy_decay(scene, CENTER, TraceConfig(100, 300, 0))
         # 300 completed bounces would take seconds of path time.
-        assert curve.duration_s < 0.5
+        assert curve.n_bins * tracer.BIN_WIDTH_S < 0.5
         assert curve.ray_bounces < 100 * 10
         # No draw can touch the deposits up to bounce 3: they are exact.
         first = trace_energy_decay(scene, CENTER, TraceConfig(100, 3, 0))
@@ -405,9 +404,9 @@ class TestTraceEnergyDecay:
         assert curve.bin_width_s == 1e-3
         assert curve.n_bands == 4
         assert curve.energies.shape == (curve.n_bins, 4)
-        assert curve.duration_s == pytest.approx(curve.n_bins * 1e-3)
         t = curve.times()
         assert t[0] == pytest.approx(5e-4)
+        assert t[-1] == pytest.approx(curve.n_bins * tracer.BIN_WIDTH_S - 5e-4)
         assert np.all(np.diff(t) > 0)
         # The histogram spans twice the last arrival, so the far half
         # must be empty apart from the final clamped bin.
